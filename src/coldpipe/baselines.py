@@ -133,9 +133,12 @@ def enumerate_plans(num_devices: int, num_layers: int) -> Iterator[Plan]:
 def brute_force(tables: CostTables) -> tuple[float, Plan]:
     """Exhaustive exact optimum on guarded-size instances.
 
-    Memory-infeasible candidates are skipped; ties break exactly like the
-    solver's: fewer stages first, then smaller boundaries, then smaller
-    device indices.
+    Memory-infeasible candidates are skipped.  Among equal makespans the
+    oracle keeps the candidate with the smallest key (stage count, tuple of
+    stage end layers, tuple of stage devices in pipeline order).  That is
+    not the solver's tie rule, so at equal makespan the two may return
+    different plans: on two identical devices the solver picks devices
+    (1, 0) and the oracle (0, 1).
     """
     if tables.num_devices > BRUTE_FORCE_MAX_DEVICES:
         raise ValueError(
@@ -149,8 +152,8 @@ def brute_force(tables: CostTables) -> tuple[float, Plan]:
     best_key = None
     best: tuple[float, Plan] | None = None
     for plan in enumerate_plans(tables.num_devices, tables.num_layers):
-        if any(tables.mem_footprint(s.start_layer, s.end_layer)
-               > tables.memory_bytes[s.device] for s in plan.stages):
+        if not all(tables.fits[s.device, s.start_layer - 1, s.end_layer]
+                   for s in plan.stages):
             continue
         makespan = evaluate(plan, tables, check_memory=False).makespan_s
         key = (makespan, len(plan.stages),

@@ -8,7 +8,7 @@ Subcommands:
   dump-config  write a normalized config (from a preset or an existing file)
 
 Exit codes: 0 ok, 1 usage, 2 config error, 3 infeasible, 4 verification
-failure.  COLDPIPE_THREADS caps sweep parallelism (default 1).
+failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import sys
 from pathlib import Path
 
 from . import baselines, config, cost_tables, experiment
-from .errors import ConfigError, InfeasibleError, PlanError
+from .errors import (ConfigError, DegenerateScenarioError, InfeasibleError,
+                     PlanError)
 from .gantt import render_ascii, render_svg
 from .model_profile import build_profiles
 from .timeline import Timeline, bubble_report
@@ -54,14 +55,6 @@ def _atomic_write(path: Path, data: str) -> None:
 
 def _fmt(value: float) -> str:
     return format(value, ".9g")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("COLDPIPE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"COLDPIPE_THREADS must be an integer, got {raw!r}")
 
 
 def _build_tables(scenario, tokens: int) -> cost_tables.CostTables:
@@ -147,7 +140,7 @@ def rows_to_csv(rows) -> str:
 def cmd_sweep(args) -> int:
     scenario = config.load_scenario(args.config)
     try:
-        rows = experiment.run_sweep(scenario, max_workers=_thread_cap())
+        rows = experiment.run_sweep(scenario)
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -273,7 +266,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, DegenerateScenarioError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleError, PlanError) as err:

@@ -75,7 +75,13 @@ def _as_int(node: Any, path: str) -> int:
 def _as_float(node: Any, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(path, f"expected a number, got {node!r}")
-    return float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        _fail(path, f"expected a finite number, got {node!r}")
+    return value
 
 
 def _as_bool(node: Any, path: str) -> bool:

@@ -1,19 +1,20 @@
 """Precomputed cost tables for one scenario (model profiles x devices x
 token length).
 
-Prefix sums over the layer profiles give O(1) segment costs, and a KxK
-bottleneck-rate table gives O(1) transfer costs.  Layer indices are 1-based
-and inclusive throughout; device indices are 0-based positions in the
-device list.
+`build` is the one definition of what a pipeline segment costs: the solver,
+the timeline and the brute-force oracle all index the arrays it returns.
+Segment arrays are indexed by layer boundaries, so `[d, i, j]` covers
+layers i+1..j and the 1-based inclusive segment a..b is `[d, a - 1, b]`.
+Cells with i >= j hold no segment; `fits` is False there and no caller
+reads them.  Device indices are 0-based positions in the device list.
 
-Bytes vs bits: sizes are stored in bytes and link rates in bits/s; the
-factor of 8 is applied once, when the per-layer activation sizes are turned
-into the activation_bits array.
+Bytes vs bits: sizes are in bytes and link rates in bits/s; the factor of 8
+is applied once, in `comm_s`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,74 +25,34 @@ from .model_profile import LayerProfile
 
 @dataclass
 class CostTables:
-    """Immutable-after-build lookup tables; safe to share across threads."""
+    """Immutable-after-build lookup tables."""
 
     num_layers: int
     num_devices: int
-    token_length: int
     devices: tuple[DeviceProfile, ...]
-    prefix_param_bytes: np.ndarray      # shape (L+1,), prefix_param_bytes[0] == 0
-    prefix_workload_flops: np.ndarray   # shape (L+1,)
-    activation_bytes: np.ndarray        # shape (L+1,), [l] = bytes out of layer l
-    activation_bits: np.ndarray         # shape (L+1,), 8 * activation_bytes
-    disk_bytes_per_s: np.ndarray        # shape (K,)
-    compute_flops_per_s: np.ndarray     # shape (K,), effective at this t
-    memory_bytes: np.ndarray            # shape (K,)
-    min_link_bits_per_s: np.ndarray     # shape (K, K), [src, dst]
-    footprint: np.ndarray = field(repr=False, default=None)  # shape (L+1, L+1)
-
-    def _check_segment(self, i: int, j: int) -> None:
-        if not 1 <= i <= j <= self.num_layers:
-            raise IndexError(
-                f"invalid layer segment [{i}, {j}] for L={self.num_layers}")
-
-    def _check_device(self, d: int) -> None:
-        if not 0 <= d < self.num_devices:
-            raise IndexError(f"invalid device index {d} for K={self.num_devices}")
-
-    def t_load(self, i: int, j: int, d: int) -> float:
-        """Seconds for device d to read layers i..j from disk."""
-        self._check_segment(i, j)
-        self._check_device(d)
-        return (self.prefix_param_bytes[j] - self.prefix_param_bytes[i - 1]) \
-            / self.disk_bytes_per_s[d]
-
-    def t_comp(self, i: int, j: int, d: int) -> float:
-        """Seconds for device d to run layers i..j at this token length."""
-        self._check_segment(i, j)
-        self._check_device(d)
-        return (self.prefix_workload_flops[j] - self.prefix_workload_flops[i - 1]) \
-            / self.compute_flops_per_s[d]
-
-    def t_comm(self, d_prev: int, d_curr: int, j: int) -> float:
-        """Seconds to ship layer j's activation from d_prev to d_curr via
-        the access point (bottleneck of sender uplink and receiver downlink)."""
-        self._check_device(d_prev)
-        self._check_device(d_curr)
-        if d_prev == d_curr:
-            raise ValueError("transfer between a device and itself is not modeled")
-        if not 1 <= j < self.num_layers:
-            raise IndexError(f"no transfer boundary after layer {j} for L={self.num_layers}")
-        return self.activation_bits[j] / self.min_link_bits_per_s[d_prev, d_curr]
+    memory_bytes: np.ndarray  # (K,)
+    footprint: np.ndarray     # (L+1, L+1) bytes to host layers i+1..j
+    fits: np.ndarray          # (K, L+1, L+1) layers i+1..j fit device d
+    load_s: np.ndarray        # (K, L+1, L+1) disk read of layers i+1..j on d
+    comp_s: np.ndarray        # (K, L+1, L+1) compute of layers i+1..j on d
+    comm_s: np.ndarray        # (K, K, L+1) layer j's output from src to dst
 
     def mem_footprint(self, i: int, j: int) -> float:
         """Bytes needed to host layers i..j: weights plus the largest
         activation in the segment."""
-        self._check_segment(i, j)
+        if not 1 <= i <= j <= self.num_layers:
+            raise IndexError(
+                f"invalid layer segment [{i}, {j}] for L={self.num_layers}")
         return self.footprint[i - 1, j]
 
     def max_hostable_layers(self, d: int) -> int:
         """Longest contiguous segment device d can hold anywhere in the
         model (0 if not even a single layer fits).  Diagnostic helper."""
-        self._check_device(d)
-        best = 0
-        for i in range(1, self.num_layers + 1):
-            for j in range(i + best, self.num_layers + 1):
-                if self.footprint[i - 1, j] <= self.memory_bytes[d]:
-                    best = j - i + 1
-                else:
-                    break
-        return best
+        if not 0 <= d < self.num_devices:
+            raise IndexError(f"invalid device index {d} for K={self.num_devices}")
+        bounds = np.arange(self.num_layers + 1)
+        return int(np.max(bounds[None, :] - bounds[:, None],
+                          where=self.fits[d], initial=0))
 
 
 def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
@@ -114,6 +75,11 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
         act[l] = p.activation_bytes
     prefix_param = np.concatenate(([0.0], np.cumsum(param[1:])))
     prefix_work = np.concatenate(([0.0], np.cumsum(work[1:])))
+    # seg_*[i, j] = total over layers i+1..j (meaningless unless nonempty)
+    seg_param = prefix_param[None, :] - prefix_param[:, None]
+    seg_work = prefix_work[None, :] - prefix_work[:, None]
+    bounds = np.arange(num_layers + 1)
+    nonempty = bounds[None, :] > bounds[:, None]
 
     disk = np.array([dev.disk_bytes_per_s for dev in devices])
     compute = np.array([effective_compute(dev, t) for dev in devices])
@@ -125,27 +91,23 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
         if not (np.isfinite(u) and np.isfinite(dn)) or u <= 0.0 or dn <= 0.0:
             raise DegenerateScenarioError(
                 f"device {dev.id} has a zero or non-finite link rate")
+    # A transfer goes through the access point: sender uplink, then
+    # receiver downlink, at the slower of the two.
     min_link = np.minimum(up[:, None], down[None, :])
 
     # footprint[i, j] = weights of layers i+1..j plus their largest
-    # activation; +inf marks empty/invalid segments (i >= j).
-    footprint = np.full((num_layers + 1, num_layers + 1), np.inf)
-    for i in range(num_layers):
-        seg_max_act = np.maximum.accumulate(act[i + 1:])
-        footprint[i, i + 1:] = seg_max_act + (prefix_param[i + 1:] - prefix_param[i])
+    # activation (activations are nonnegative); +inf marks empty segments.
+    seg_max_act = np.maximum.accumulate(np.where(nonempty, act, 0.0), axis=1)
+    footprint = np.where(nonempty, seg_max_act + seg_param, np.inf)
 
     return CostTables(
         num_layers=num_layers,
         num_devices=num_devices,
-        token_length=t,
         devices=tuple(devices),
-        prefix_param_bytes=prefix_param,
-        prefix_workload_flops=prefix_work,
-        activation_bytes=act,
-        activation_bits=8.0 * act,
-        disk_bytes_per_s=disk,
-        compute_flops_per_s=compute,
         memory_bytes=memory,
-        min_link_bits_per_s=min_link,
         footprint=footprint,
+        fits=nonempty & (footprint[None, :, :] <= memory[:, None, None]),
+        load_s=seg_param[None, :, :] / disk[:, None, None],
+        comp_s=seg_work[None, :, :] / compute[:, None, None],
+        comm_s=(8.0 * act)[None, None, :] / min_link[:, :, None],
     )

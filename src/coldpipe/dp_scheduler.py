@@ -82,12 +82,12 @@ def validate_plan(plan: Plan, tables: CostTables, check_memory: bool = True) -> 
         raise PlanError(f"devices reused across stages: {devices}")
     if check_memory:
         for stage in plan.stages:
-            need = tables.mem_footprint(stage.start_layer, stage.end_layer)
-            have = tables.memory_bytes[stage.device]
-            if need > have:
+            if not tables.fits[stage.device, stage.start_layer - 1, stage.end_layer]:
+                need = tables.mem_footprint(stage.start_layer, stage.end_layer)
                 raise PlanError(
                     f"stage {stage} needs {need:.3e} B but device "
-                    f"{tables.devices[stage.device].id} has {have:.3e} B")
+                    f"{tables.devices[stage.device].id} has "
+                    f"{tables.memory_bytes[stage.device]:.3e} B")
 
 
 def state_count(num_devices: int, num_layers: int) -> int:
@@ -124,22 +124,9 @@ def compute_table(tables: CostTables) -> DpTable:
     K = tables.num_devices
     state_count(K, L)  # enforces the fleet-size guard
 
-    pp = tables.prefix_param_bytes
-    pw = tables.prefix_workload_flops
-    act_bits = tables.activation_bits
-    footprint = tables.footprint
-
-    # seg_load[d][i, j] = load time of layers i+1..j on device d (garbage
-    # where i >= j; those cells are masked out below).
-    seg_load = [(pp[None, :] - pp[:, None]) / tables.disk_bytes_per_s[d]
-                for d in range(K)]
-    seg_comp = [(pw[None, :] - pw[:, None]) / tables.compute_flops_per_s[d]
-                for d in range(K)]
-    valid = []
-    for d in range(K):
-        ok = footprint <= tables.memory_bytes[d]  # already False where i >= j
-        ok[0, :] = False  # boundary 0 belongs to the base case, not transitions
-        valid.append(ok)
+    load_s, comp_s, comm_s = tables.load_s, tables.comp_s, tables.comm_s
+    valid = tables.fits.copy()
+    valid[:, 0, :] = False  # boundary 0 belongs to the base case, not transitions
 
     n_masks = 1 << K
     values = np.full((n_masks, L + 1, K), np.inf)
@@ -149,9 +136,8 @@ def compute_table(tables: CostTables) -> DpTable:
     # Base cases: a single segment 1..j on device d, no communication.
     for d in range(K):
         mask = 1 << d
-        base = seg_load[d][0, :] + seg_comp[d][0, :]
-        feasible = footprint[0, :] <= tables.memory_bytes[d]
-        feasible[0] = False
+        base = load_s[d, 0, :] + comp_s[d, 0, :]
+        feasible = tables.fits[d, 0, :]
         values[mask, feasible, d] = base[feasible]
         split[mask, feasible, d] = 0
         # prev_device stays -1: the base marker
@@ -164,9 +150,7 @@ def compute_table(tables: CostTables) -> DpTable:
             if not (s_mask >> d) & 1:
                 continue
             sub = s_mask ^ (1 << d)
-            load_d = seg_load[d]
-            comp_d = seg_comp[d]
-            valid_d = valid[d]
+            load_d, comp_d, valid_d = load_s[d], comp_s[d], valid[d]
             best_val = np.full(L + 1, np.inf)
             best_i = np.full(L + 1, big_i, dtype=np.int32)
             best_d = np.full(L + 1, -1, dtype=np.int32)
@@ -174,7 +158,7 @@ def compute_table(tables: CostTables) -> DpTable:
                 if not (sub >> d_prev) & 1:
                     continue
                 prev = values[sub, :, d_prev]
-                comm = act_bits / tables.min_link_bits_per_s[d_prev, d]
+                comm = comm_s[d_prev, d]
                 cand = (np.maximum(load_d, prev[:, None]) + comm[:, None]) + comp_d
                 cand = np.where(valid_d, cand, np.inf)
                 idx = np.argmin(cand, axis=0).astype(np.int32)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -123,16 +122,10 @@ def _run_token_length(scenario: Scenario, t: int) -> list[ResultRow]:
     return rows
 
 
-def run_sweep(scenario: Scenario, max_workers: int = 1) -> list[ResultRow]:
-    """One row per (token length, strategy), in scenario order regardless of
-    how many worker threads computed the cells."""
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_token = list(pool.map(
-                lambda t: _run_token_length(scenario, t), scenario.token_lengths))
-    else:
-        per_token = [_run_token_length(scenario, t) for t in scenario.token_lengths]
-    return [row for rows in per_token for row in rows]
+def run_sweep(scenario: Scenario) -> list[ResultRow]:
+    """One row per (token length, strategy), in scenario order."""
+    return [row for t in scenario.token_lengths
+            for row in _run_token_length(scenario, t)]
 
 
 def average_improvement_pct(rows: Sequence[ResultRow]) -> float:
@@ -151,7 +144,6 @@ def average_improvement_pct(rows: Sequence[ResultRow]) -> float:
 @dataclass(frozen=True)
 class SuiteInstance:
     scenario: Scenario
-    single_device_feasible: bool
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -231,12 +223,7 @@ def random_instance_suite(count: int, seed: int = 0) -> list[SuiteInstance]:
             strategies=("optimal_dp", "brute_force"),
             seed=seed,
         )
-        profiles = build_profiles(model, t)
-        footprint = (sum(p.param_bytes for p in profiles)
-                     + max(p.activation_bytes for p in profiles))
-        feasible = any(dev.memory_bytes >= footprint for dev in devices)
-        instances.append(SuiteInstance(scenario=scenario,
-                                       single_device_feasible=feasible))
+        instances.append(SuiteInstance(scenario=scenario))
     return instances
 
 

@@ -1,8 +1,9 @@
 """Cold-start timeline evaluation for an arbitrary plan.
 
-This is the single source of truth for what a plan costs: the solver's
-optimum is cross-checked against it, the brute-force oracle is built on it,
-and the Gantt renderers and CSV writer consume its output.
+Segment costs come from the cost tables; this module is the single source
+of truth for how they combine into a plan's schedule: the solver's optimum
+is cross-checked against it, the brute-force oracle is built on it, and the
+Gantt renderers and CSV writer consume its output.
 
 Per stage n (with finish_0 = 0):
     start_n  = max(load_n, finish_{n-1})
@@ -81,17 +82,16 @@ class Timeline:
 
 def evaluate(plan: Plan, tables: CostTables, check_memory: bool = True) -> Timeline:
     """Run the timeline recurrence over the plan's stages."""
+    # Validation comes first: it is what keeps the table indices in range.
     validate_plan(plan, tables, check_memory=check_memory)
     stages: list[StageTiming] = []
     finish_prev = 0.0
     prev_device = None
     for stage in plan.stages:
-        load = tables.t_load(stage.start_layer, stage.end_layer, stage.device)
-        comp = tables.t_comp(stage.start_layer, stage.end_layer, stage.device)
-        if prev_device is None:
-            comm = 0.0
-        else:
-            comm = tables.t_comm(prev_device, stage.device, stage.start_layer - 1)
+        d, i, j = stage.device, stage.start_layer - 1, stage.end_layer
+        load = tables.load_s[d, i, j]
+        comp = tables.comp_s[d, i, j]
+        comm = 0.0 if prev_device is None else tables.comm_s[prev_device, d, i]
         start = max(load, finish_prev)
         finish = (start + comm) + comp
         wait = max(0.0, finish_prev - load)
@@ -107,7 +107,7 @@ def evaluate(plan: Plan, tables: CostTables, check_memory: bool = True) -> Timel
             wait_s=float(wait),
         ))
         finish_prev = finish
-        prev_device = stage.device
+        prev_device = d
     return Timeline(stages=tuple(stages), makespan_s=float(finish_prev))
 
 

@@ -9,13 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from coldpipe import cost_tables, dp_scheduler
-from coldpipe.baselines import brute_force
 from coldpipe.cli import main
 from coldpipe.config import tab1_scenario
 from coldpipe.device_model import link_rate
-from coldpipe.errors import InfeasibleError
-from coldpipe.experiment import (average_improvement_pct,
-                                 random_instance_suite, run_sweep)
+from coldpipe.experiment import (RELATIVE_TOLERANCE, average_improvement_pct,
+                                 random_instance_suite, run_sweep,
+                                 verify_suite)
 from coldpipe.model_profile import (ModelConfig, attn_flops, build_profiles,
                                     activation_bytes, ffn_flops,
                                     layer_param_bytes)
@@ -33,37 +32,20 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} ({name}) failed: {detail}"
 
 
-def rel_close(a, b, rel=REL):
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
-
-
 def _tables_for(scenario, t):
     profiles = build_profiles(scenario.model, t)
     return cost_tables.build(profiles, list(scenario.devices), t)
 
 
 def test_criterion_1_oracle_equivalence():
+    # verify_suite compares each makespan with the oracle's and replays the
+    # solver's plan, both to RELATIVE_TOLERANCE
+    assert RELATIVE_TOLERANCE == REL
     start = time.perf_counter()
-    mismatches = []
-    for idx, inst in enumerate(random_instance_suite(100, seed=0)):
-        tables = _tables_for(inst.scenario, inst.scenario.token_lengths[0])
-        try:
-            result = dp_scheduler.solve(tables)
-        except InfeasibleError:
-            try:
-                brute_force(tables)
-                mismatches.append(f"{idx}: solver infeasible, oracle not")
-            except InfeasibleError:
-                pass
-            continue
-        oracle_value, _ = brute_force(tables)
-        if not rel_close(result.makespan_s, oracle_value):
-            mismatches.append(f"{idx}: {result.makespan_s} != {oracle_value}")
-        replay = evaluate(result.plan, tables).makespan_s
-        if not rel_close(replay, result.makespan_s):
-            mismatches.append(f"{idx}: replay {replay} != {result.makespan_s}")
+    outcomes = verify_suite(random_instance_suite(100, seed=0))
     elapsed = time.perf_counter() - start
-    ok = not mismatches and elapsed < 10.0
+    mismatches = [f"{o.index}: {o.detail}" for o in outcomes if not o.ok]
+    ok = len(outcomes) == 100 and not mismatches and elapsed < 10.0
     report(1, "oracle equivalence", ok,
            f"100 instances, {elapsed:.2f} s" + "; ".join(mismatches))
 

@@ -21,7 +21,7 @@ def test_single_device_memory_is_waived(tab1_tables, fleet):
     assert tables.mem_footprint(1, 40) > tables.memory_bytes[0]
     tl = evaluate(plan, tables, check_memory=False)
     assert tl.stages[0].comm_s == 0.0
-    assert tl.makespan_s == tables.t_load(1, 40, 0) + tables.t_comp(1, 40, 0)
+    assert tl.makespan_s == tables.load_s[0, 0, 40] + tables.comp_s[0, 0, 40]
 
 
 def test_even_plan_forty_over_four(fleet):
@@ -87,7 +87,7 @@ def test_brute_force_single_candidate():
     tables = make_tables([(1e12, 1e6, 5e8)] * 3, [make_device()])
     value, plan = brute_force(tables)
     assert plan.layer_counts == (3,)
-    assert value == tables.t_load(1, 3, 0) + tables.t_comp(1, 3, 0)
+    assert value == tables.load_s[0, 0, 3] + tables.comp_s[0, 0, 3]
 
 
 def test_brute_force_beats_static_baselines():

@@ -2,6 +2,7 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
 
 from coldpipe.cli import main
 
@@ -169,22 +170,33 @@ def test_missing_subcommand_usage_error(capsys):
     assert run([], capsys)[0] == 1
 
 
-def test_threads_env_respected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COLDPIPE_THREADS", "3")
-    out = tmp_path / "r.csv"
-    ref = tmp_path / "ref.csv"
-    assert run(["sweep", "--config", CONFIG, "--out", str(out)], capsys)[0] == 0
-    monkeypatch.setenv("COLDPIPE_THREADS", "1")
-    assert run(["sweep", "--config", CONFIG, "--out", str(ref)], capsys)[0] == 0
-    assert out.read_bytes() == ref.read_bytes()
+def _edited_tab1(tmp_path, old, new):
+    """tab1.yaml with the first occurrence of `old` replaced by `new`."""
+    text = Path(CONFIG).read_text()
+    assert old in text
+    path = tmp_path / "edited.yaml"
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
 
 
-def test_threads_env_garbage_is_config_error(capsys, monkeypatch):
-    monkeypatch.setenv("COLDPIPE_THREADS", "many")
-    code, _, err = run(["sweep", "--config", CONFIG, "--out", "/tmp/x.csv"],
-                       capsys)
+def test_zero_link_rate_is_config_error(tmp_path, capsys):
+    # device 2's uplink power is the only tx_power_up_dbm of 18.0
+    cfg = _edited_tab1(tmp_path, "tx_power_up_dbm: 18.0", "tx_power_up_dbm: -2000.0")
+    code, out, err = run(["solve", "--config", cfg, "--tokens", "2048"], capsys)
     assert code == 2
-    assert "COLDPIPE_THREADS" in err
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "config error" in err and "device 2" in err and "link rate" in err
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf",
+                                   pytest.param("1" + "0" * 400, id="huge-int")])
+def test_non_finite_number_is_config_error(tmp_path, capsys, value):
+    cfg = _edited_tab1(tmp_path, "peak_tflops: 165.0", f"peak_tflops: {value}")
+    code, out, err = run(["solve", "--config", cfg, "--tokens", "2048"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "devices[0].peak_tflops" in err and "finite" in err
 
 
 TINY_CONFIG = """\

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coldpipe import cost_tables
+from coldpipe.device_model import effective_compute
 from coldpipe.model_profile import build_profiles
 from conftest import make_device, make_tables
 
@@ -18,38 +19,40 @@ def triples(n, rng_seed=1):
 
 
 def test_prefix_arrays_single_layer():
-    tables = make_tables([(2e12, 1e6, 5e8)], [make_device()])
-    assert tables.prefix_param_bytes.tolist() == [0.0, 5e8]
-    assert tables.prefix_workload_flops.tolist() == [0.0, 2e12]
+    # row i=0 of the segment tables holds the prefix sums over the rates
+    dev = make_device()
+    tables = make_tables([(2e12, 1e6, 5e8)], [dev])
+    assert tables.load_s[0, 0].tolist() == [0.0, 5e8 / 1e9]
+    assert tables.comp_s[0, 0].tolist() == [0.0, 2e12 / effective_compute(dev, 100)]
 
 
 def test_prefix_arrays_uniform_layers(qwen_cfg, fleet):
     tables = cost_tables.build(build_profiles(qwen_cfg, 2048), fleet, 2048)
-    diffs = np.diff(tables.prefix_param_bytes)
-    assert np.all(diffs == diffs[0])
-    assert tables.prefix_param_bytes[0] == 0.0
-    assert np.all(np.diff(tables.prefix_workload_flops) > 0)
+    one_layer = np.diagonal(tables.load_s[0], offset=1)
+    assert np.all(one_layer == one_layer[0])
+    assert tables.load_s[0, 0, 0] == 0.0
+    assert np.all(np.diff(tables.comp_s[0, 0]) > 0)
 
 
-def test_t_load_one_layer_device1(tab1_tables):
+def test_seg_load_one_layer_device1(tab1_tables):
     tables = tab1_tables(2048)
-    assert tables.t_load(1, 1, 0) == pytest.approx(0.132120576, rel=REL)
+    assert tables.load_s[0, 0, 1] == pytest.approx(0.132120576, rel=REL)
 
 
-def test_t_load_whole_model_telescopes(tab1_tables):
+def test_seg_load_whole_model_telescopes(tab1_tables):
     tables = tab1_tables(2048)
-    total = tables.prefix_param_bytes[-1]
-    assert tables.t_load(1, 40, 2) == pytest.approx(total / 3000e6, rel=REL)
+    total = 40 * 660_602_880.0
+    assert tables.load_s[2, 0, 40] == pytest.approx(total / 3000e6, rel=REL)
 
 
-def test_t_comp_one_layer_device1(tab1_tables):
+def test_seg_comp_one_layer_device1(tab1_tables):
     tables = tab1_tables(2048)
-    assert tables.t_comp(1, 1, 0) == pytest.approx(0.0336358021519295, rel=REL)
+    assert tables.comp_s[0, 0, 1] == pytest.approx(0.0336358021519295, rel=REL)
 
 
-def test_t_comp_stronger_device_is_faster(tab1_tables):
+def test_seg_comp_stronger_device_is_faster(tab1_tables):
     tables = tab1_tables(2048)
-    assert tables.t_comp(5, 20, 0) < tables.t_comp(5, 20, 3)
+    assert tables.comp_s[0, 4, 20] < tables.comp_s[3, 4, 20]
 
 
 @given(st.data())
@@ -60,56 +63,33 @@ def test_segment_additivity(data):
     i = data.draw(st.integers(min_value=1, max_value=n - 1))
     j = data.draw(st.integers(min_value=i, max_value=n - 1))
     k = data.draw(st.integers(min_value=j + 1, max_value=n))
-    whole = tables.t_load(i, k, 0)
-    parts = tables.t_load(i, j, 0) + tables.t_load(j + 1, k, 0)
-    assert whole == pytest.approx(parts, rel=1e-12)
-    whole_c = tables.t_comp(i, k, 0)
-    parts_c = tables.t_comp(i, j, 0) + tables.t_comp(j + 1, k, 0)
-    assert whole_c == pytest.approx(parts_c, rel=1e-12)
+    for seg in (tables.load_s[0], tables.comp_s[0]):
+        whole = seg[i - 1, k]
+        parts = seg[i - 1, j] + seg[j, k]
+        assert whole == pytest.approx(parts, rel=1e-12)
 
 
-def test_t_comm_example(tab1_tables):
+def test_seg_comm_example(tab1_tables):
     tables = tab1_tables(2048)
     # 8 * 20971520 bits over min(uplink 1, downlink 2) = downlink 2
     expected = 8 * 20971520 / 1473479074.5394602
-    assert tables.t_comm(0, 1, 7) == pytest.approx(expected, rel=1e-10)
+    assert tables.comm_s[0, 1, 7] == pytest.approx(expected, rel=1e-10)
 
 
 def test_min_link_table(tab1_tables):
     tables = tab1_tables(2048)
     up1 = 1720992660.0807686
     down2 = 1473479074.5394602
-    assert tables.min_link_bits_per_s[0, 1] == pytest.approx(min(up1, down2), rel=1e-10)
+    bits = 8 * 20971520
+    assert tables.comm_s[0, 1, 5] == pytest.approx(bits / min(up1, down2), rel=1e-10)
     # faster bottleneck means strictly less time for the same payload
-    assert tables.t_comm(0, 1, 5) < tables.t_comm(3, 2, 5)
+    assert tables.comm_s[0, 1, 5] < tables.comm_s[3, 2, 5]
 
 
-def test_t_comm_zero_activation():
+def test_seg_comm_zero_activation():
     tables = make_tables([(1e12, 0.0, 1e8), (1e12, 0.0, 1e8)],
                          [make_device(0), make_device(1)])
-    assert tables.t_comm(0, 1, 1) == 0.0
-
-
-def test_t_comm_rejects_same_device(tab1_tables):
-    with pytest.raises(ValueError):
-        tab1_tables(2048).t_comm(2, 2, 5)
-
-
-def test_t_comm_rejects_last_layer_boundary(tab1_tables):
-    with pytest.raises(IndexError):
-        tab1_tables(2048).t_comm(0, 1, 40)
-
-
-def test_index_validation(tab1_tables):
-    tables = tab1_tables(2048)
-    with pytest.raises(IndexError):
-        tables.t_load(5, 4, 0)   # empty range
-    with pytest.raises(IndexError):
-        tables.t_load(0, 4, 0)   # layers are 1-based
-    with pytest.raises(IndexError):
-        tables.t_comp(1, 41, 0)
-    with pytest.raises(IndexError):
-        tables.t_load(1, 4, 9)   # no such device
+    assert tables.comm_s[0, 1, 1] == 0.0
 
 
 def test_mem_footprint_single_layer(tab1_tables):
@@ -156,9 +136,9 @@ def test_build_rejects_degenerate_compute():
 
 def test_outputs_positive(tab1_tables):
     tables = tab1_tables(256)
-    assert tables.t_load(1, 40, 3) > 0
-    assert tables.t_comp(1, 40, 3) > 0
-    assert tables.t_comm(1, 0, 10) > 0
+    assert tables.load_s[3, 0, 40] > 0
+    assert tables.comp_s[3, 0, 40] > 0
+    assert tables.comm_s[1, 0, 10] > 0
     assert tables.mem_footprint(1, 40) > 0
 
 

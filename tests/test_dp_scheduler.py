@@ -46,7 +46,7 @@ def test_single_device_base_case():
     tables = make_tables([(1e12, 1e6, 5e8)] * 3, [make_device(memory=1e12)])
     result = solve(tables)
     assert result.plan == Plan(stages=(PlanStage(0, 1, 3),))
-    assert result.makespan_s == tables.t_load(1, 3, 0) + tables.t_comp(1, 3, 0)
+    assert result.makespan_s == tables.load_s[0, 0, 3] + tables.comp_s[0, 0, 3]
 
 
 def test_two_stage_reconstruction():
@@ -134,8 +134,8 @@ def test_exact_tie_prefers_fewer_devices():
     rows = [(1e9, 0.0, 0.0)] * 2
     devices = [make_device(0), make_device(1)]
     tables = make_tables(rows, devices)
-    single = tables.t_comp(1, 2, 0)
-    split = tables.t_comp(1, 1, 0) + tables.t_comp(2, 2, 1)
+    single = tables.comp_s[0, 0, 2]
+    split = tables.comp_s[0, 0, 1] + tables.comp_s[1, 1, 2]
     assert single == split  # genuinely an exact tie
     result = solve(tables)
     assert result.plan == Plan(stages=(PlanStage(0, 1, 2),))

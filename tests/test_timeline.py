@@ -19,7 +19,7 @@ def test_single_stage_plan():
     tl = evaluate(plan, tables)
     assert tl.stages[0].comm_s == 0.0
     assert tl.stages[0].wait_s == 0.0
-    assert tl.makespan_s == tables.t_load(1, 4, 0) + tables.t_comp(1, 4, 0)
+    assert tl.makespan_s == tables.load_s[0, 0, 4] + tables.comp_s[0, 0, 4]
 
 
 def test_loading_hides_upstream_work():

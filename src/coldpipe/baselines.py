@@ -7,10 +7,8 @@ Three static baselines:
   heuristic      layer counts proportional to the harmonic mean of compute
                  and disk speed, stronger devices first.
 
-The default heuristic score is the harmonic mean of raw peak FLOPS and raw
-disk bytes/s (dominated by the smaller rate); heuristic_normalized=True
-switches to normalizing both by their fleet maxima first, for sensitivity
-checks.
+The heuristic score is the harmonic mean of raw peak FLOPS and raw disk
+bytes/s (dominated by the smaller rate).
 
 brute_force enumerates every stage count, ordered device selection, and
 layer composition on small instances, scoring each candidate with the same
@@ -26,7 +24,7 @@ from .cost_tables import CostTables
 from .device_model import DeviceProfile
 from .dp_scheduler import Plan, PlanStage
 from .errors import InfeasibleError
-from .timeline import evaluate
+from .timeline import evaluate, tie_key
 
 STRATEGIES = ("optimal_dp", "even", "heuristic", "single_device", "brute_force")
 
@@ -70,23 +68,16 @@ def even_plan(devices: Sequence[DeviceProfile], num_layers: int) -> Plan:
     return _plan_from_counts(order, counts)
 
 
-def heuristic_scores(devices: Sequence[DeviceProfile],
-                     normalized: bool = False) -> list[float]:
+def heuristic_scores(devices: Sequence[DeviceProfile]) -> list[float]:
     """Harmonic mean of compute and disk speed per device."""
-    compute = [dev.peak_flops for dev in devices]
-    disk = [dev.disk_bytes_per_s for dev in devices]
-    if normalized:
-        c_max, r_max = max(compute), max(disk)
-        compute = [c / c_max for c in compute]
-        disk = [r / r_max for r in disk]
-    return [2.0 * c * r / (c + r) for c, r in zip(compute, disk)]
+    return [2.0 * dev.peak_flops * dev.disk_bytes_per_s
+            / (dev.peak_flops + dev.disk_bytes_per_s) for dev in devices]
 
 
-def heuristic_plan(devices: Sequence[DeviceProfile], num_layers: int,
-                   normalized: bool = False) -> Plan:
+def heuristic_plan(devices: Sequence[DeviceProfile], num_layers: int) -> Plan:
     """Layer counts proportional to the harmonic-mean score, rounded by
     largest remainder (remainder ties favor stronger devices)."""
-    scores = heuristic_scores(devices, normalized=normalized)
+    scores = heuristic_scores(devices)
     total = sum(scores)
     order = _by_strength(devices)
     quotas = [num_layers * scores[d] / total for d in order]
@@ -100,7 +91,7 @@ def heuristic_plan(devices: Sequence[DeviceProfile], num_layers: int,
 
 
 def plan_for_strategy(strategy: str, devices: Sequence[DeviceProfile],
-                      num_layers: int, heuristic_normalized: bool = False) -> Plan:
+                      num_layers: int) -> Plan:
     """Build the named baseline plan (not valid for optimal_dp/brute_force,
     which need cost tables)."""
     if strategy == "single_device":
@@ -108,7 +99,7 @@ def plan_for_strategy(strategy: str, devices: Sequence[DeviceProfile],
     if strategy == "even":
         return even_plan(devices, num_layers)
     if strategy == "heuristic":
-        return heuristic_plan(devices, num_layers, normalized=heuristic_normalized)
+        return heuristic_plan(devices, num_layers)
     raise ValueError(f"no static plan for strategy {strategy!r}")
 
 
@@ -133,12 +124,8 @@ def enumerate_plans(num_devices: int, num_layers: int) -> Iterator[Plan]:
 def brute_force(tables: CostTables) -> tuple[float, Plan]:
     """Exhaustive exact optimum on guarded-size instances.
 
-    Memory-infeasible candidates are skipped.  Among equal makespans the
-    oracle keeps the candidate with the smallest key (stage count, tuple of
-    stage end layers, tuple of stage devices in pipeline order).  That is
-    not the solver's tie rule, so at equal makespan the two may return
-    different plans: on two identical devices the solver picks devices
-    (1, 0) and the oracle (0, 1).
+    Memory-infeasible candidates are skipped; ties break by `tie_key`, the
+    solver's order.
     """
     if tables.num_devices > BRUTE_FORCE_MAX_DEVICES:
         raise ValueError(
@@ -149,19 +136,15 @@ def brute_force(tables: CostTables) -> tuple[float, Plan]:
             f"brute force is limited to {BRUTE_FORCE_MAX_LAYERS} layers "
             f"(got {tables.num_layers}); use the solver instead")
 
-    best_key = None
-    best: tuple[float, Plan] | None = None
+    best_key, best = None, None
     for plan in enumerate_plans(tables.num_devices, tables.num_layers):
         if not all(tables.fits[s.device, s.start_layer - 1, s.end_layer]
                    for s in plan.stages):
             continue
-        makespan = evaluate(plan, tables, check_memory=False).makespan_s
-        key = (makespan, len(plan.stages),
-               tuple(s.end_layer for s in plan.stages), plan.devices)
+        key = tie_key(evaluate(plan, tables, check_memory=False))
         if best_key is None or key < best_key:
-            best_key = key
-            best = (makespan, plan)
+            best_key, best = key, plan
     if best is None:
         raise InfeasibleError(
             "no layer partition satisfies the per-device memory constraints")
-    return best
+    return best_key[0], best

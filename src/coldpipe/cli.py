@@ -26,7 +26,7 @@ from .errors import (ConfigError, DegenerateScenarioError, InfeasibleError,
                      PlanError)
 from .gantt import render_ascii, render_svg
 from .model_profile import build_profiles
-from .timeline import Timeline, bubble_report
+from .timeline import Timeline
 
 CSV_COLUMNS = ("token_length", "strategy", "makespan_s", "load_s_total",
                "comm_s_total", "comp_s_total", "wait_s_total", "improvement_pct")
@@ -85,24 +85,18 @@ def _print_timeline(scenario, timeline: Timeline) -> None:
               f"{s.load_s:>10.6f}  {s.comm_s:>10.6f}  {s.comp_s:>10.6f}  "
               f"{s.start_s:>10.6f}  {s.finish_s:>10.6f}  {s.wait_s:>10.6f}")
     print(f"makespan: {timeline.makespan_s:.6f} s")
-    report = bubble_report(timeline)
-    waits = "  ".join(f"{w:.6f}" for w in report.stage_waits)
-    print(f"obstructive wait total: {report.total_wait_s:.6f} s  (per stage: {waits})")
-
-
-def _solve_cell(scenario, tokens: int, strategy: str):
-    tables = _build_tables(scenario, tokens)
-    timeline = experiment.run_cell(scenario, strategy, tables)
-    return tables, timeline
+    waits = "  ".join(f"{s.wait_s:.6f}" for s in timeline.stages)
+    print(f"obstructive wait total: {timeline.total_wait_s:.6f} s  (per stage: {waits})")
 
 
 def cmd_solve(args) -> int:
     scenario = config.load_scenario(args.config)
+    tables = _build_tables(scenario, args.tokens)
     try:
-        tables, timeline = _solve_cell(scenario, args.tokens, args.strategy)
+        timeline = experiment.run_cell(scenario, args.strategy, tables)
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
-        _print_memory_diagnostic(scenario, _build_tables(scenario, args.tokens))
+        _print_memory_diagnostic(scenario, tables)
         return EXIT_INFEASIBLE
     print(f"token length {args.tokens}, strategy {args.strategy}")
     _print_timeline(scenario, timeline)
@@ -161,7 +155,8 @@ def cmd_sweep(args) -> int:
 def cmd_gantt(args) -> int:
     scenario = config.load_scenario(args.config)
     try:
-        _, timeline = _solve_cell(scenario, args.tokens, args.strategy)
+        timeline = experiment.run_cell(
+            scenario, args.strategy, _build_tables(scenario, args.tokens))
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE

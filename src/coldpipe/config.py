@@ -84,12 +84,6 @@ def _as_float(node: Any, path: str) -> float:
     return value
 
 
-def _as_bool(node: Any, path: str) -> bool:
-    if not isinstance(node, bool):
-        _fail(path, f"expected a boolean, got {node!r}")
-    return node
-
-
 def _as_str(node: Any, path: str) -> str:
     if not isinstance(node, str):
         _fail(path, f"expected a string, got {node!r}")
@@ -180,7 +174,6 @@ def _parse_experiment(node: Any) -> dict[str, Any]:
         "token_lengths": DEFAULT_TOKEN_LENGTHS,
         "strategies": DEFAULT_STRATEGIES,
         "seed": 0,
-        "heuristic_normalized": False,
     }
     if node is None:
         return out
@@ -205,9 +198,6 @@ def _parse_experiment(node: Any) -> dict[str, Any]:
         out["strategies"] = strategies
     if "seed" in node:
         out["seed"] = _as_int(node["seed"], "experiment.seed")
-    if "heuristic_normalized" in node:
-        out["heuristic_normalized"] = _as_bool(
-            node["heuristic_normalized"], "experiment.heuristic_normalized")
     return out
 
 
@@ -292,7 +282,6 @@ def scenario_to_mapping(scenario: Scenario) -> dict:
             "token_lengths": list(scenario.token_lengths),
             "strategies": list(scenario.strategies),
             "seed": scenario.seed,
-            "heuristic_normalized": scenario.heuristic_normalized,
         },
     }
 
@@ -309,7 +298,6 @@ def tab1_scenario() -> Scenario:
         token_lengths=DEFAULT_TOKEN_LENGTHS,
         strategies=DEFAULT_STRATEGIES,
         seed=0,
-        heuristic_normalized=False,
         model_name="qwen3_14b",
     )
 

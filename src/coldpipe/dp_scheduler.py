@@ -7,10 +7,16 @@ device d in S.  Subsets are bitmasks, so masks are processed in increasing
 numeric order (every proper subset precedes its superset) and the whole
 j-column for one (S, d) pair is computed in a single vectorized step.
 
-Tie-breaking is pinned for reproducibility: within a state, candidates are
-compared by (finish time, split point, predecessor device); at answer
-extraction, by (finish time, number of devices used, mask, device).
-Improvements are strict, so first-found candidates win exact ties.
+Ties break by one key, `timeline.tie_key`, which the brute-force oracle
+uses too: (makespan, stage count, device mask, then (device, finish time,
+start layer) for each stage from the last).  The final pick orders equal
+makespans by (number of devices, mask, device).  Each (S, d) transition
+takes one argmin over a candidate block whose flattened rows run over
+(split i, predecessor device), both ascending.  argmin returns the first
+minimum, so the array order is the key's order: finish time, then the
+stage's start layer i+1, then the device of the stage before it.  A
+predecessor state holds the smallest finish time of its prefix, which is
+the next element of the key.
 """
 
 from __future__ import annotations
@@ -125,8 +131,9 @@ def compute_table(tables: CostTables) -> DpTable:
     state_count(K, L)  # enforces the fleet-size guard
 
     load_s, comp_s, comm_s = tables.load_s, tables.comp_s, tables.comm_s
-    valid = tables.fits.copy()
-    valid[:, 0, :] = False  # boundary 0 belongs to the base case, not transitions
+    # Infeasible segments cost +inf; boundary 0 belongs to the base case.
+    comp_or_inf = np.where(tables.fits, comp_s, np.inf)
+    comp_or_inf[:, 0, :] = np.inf
 
     n_masks = 1 << K
     values = np.full((n_masks, L + 1, K), np.inf)
@@ -142,37 +149,28 @@ def compute_table(tables: CostTables) -> DpTable:
         split[mask, feasible, d] = 0
         # prev_device stays -1: the base marker
 
-    big_i = np.int32(np.iinfo(np.int32).max)
+    # One candidate block per (S, d), rows (split i, predecessor), columns j.
+    block = np.empty((L + 1) * (K - 1) * (L + 1))
+    cols = np.arange(L + 1)
     for s_mask in range(1, n_masks):
-        if s_mask.bit_count() < 2:
+        members = [d for d in range(K) if (s_mask >> d) & 1]
+        if len(members) < 2:
             continue
-        for d in range(K):
-            if not (s_mask >> d) & 1:
-                continue
-            sub = s_mask ^ (1 << d)
-            load_d, comp_d, valid_d = load_s[d], comp_s[d], valid[d]
-            best_val = np.full(L + 1, np.inf)
-            best_i = np.full(L + 1, big_i, dtype=np.int32)
-            best_d = np.full(L + 1, -1, dtype=np.int32)
-            for d_prev in range(K):
-                if not (sub >> d_prev) & 1:
-                    continue
-                prev = values[sub, :, d_prev]
-                comm = comm_s[d_prev, d]
-                cand = (np.maximum(load_d, prev[:, None]) + comm[:, None]) + comp_d
-                cand = np.where(valid_d, cand, np.inf)
-                idx = np.argmin(cand, axis=0).astype(np.int32)
-                vals = cand[idx, np.arange(L + 1)]
-                finite = vals < np.inf
-                better = finite & ((vals < best_val)
-                                   | ((vals == best_val) & (idx < best_i)))
-                best_val[better] = vals[better]
-                best_i[better] = idx[better]
-                best_d[better] = d_prev
-            reached = best_val < np.inf
-            values[s_mask, reached, d] = best_val[reached]
-            split[s_mask, reached, d] = best_i[reached]
-            prev_device[s_mask, reached, d] = best_d[reached]
+        for d in members:
+            preds = [p for p in members if p != d]
+            n = len(preds)
+            prev = values[s_mask ^ (1 << d)][:, preds]  # (i, pred)
+            cand = block[:(L + 1) * n * (L + 1)].reshape(L + 1, n, L + 1)
+            np.maximum(load_s[d][:, None, :], prev[:, :, None], out=cand)
+            cand += comm_s[preds, d].T[:, :, None]
+            cand += comp_or_inf[d][:, None, :]
+            rows = cand.reshape((L + 1) * n, L + 1)
+            best = np.argmin(rows, axis=0)
+            vals = rows[best, cols]
+            reached = vals < np.inf
+            values[s_mask, reached, d] = vals[reached]
+            split[s_mask, reached, d] = best[reached] // n
+            prev_device[s_mask, reached, d] = np.asarray(preds)[best[reached] % n]
 
     return DpTable(values=values, split=split, prev_device=prev_device,
                    num_layers=L, num_devices=K)

@@ -39,7 +39,6 @@ class Scenario:
     token_lengths: tuple[int, ...]
     strategies: tuple[str, ...]
     seed: int = 0
-    heuristic_normalized: bool = False
     model_name: str = ""
 
     def __post_init__(self):
@@ -83,8 +82,7 @@ def run_cell(scenario: Scenario, strategy: str,
         _, plan = baselines.brute_force(tables)
         return evaluate(plan, tables)
     plan = baselines.plan_for_strategy(
-        strategy, scenario.devices, scenario.model.num_layers,
-        heuristic_normalized=scenario.heuristic_normalized)
+        strategy, scenario.devices, scenario.model.num_layers)
     return evaluate(plan, tables, check_memory=(strategy != "single_device"))
 
 
@@ -232,8 +230,12 @@ class VerifyOutcome:
     index: int
     ok: bool
     detail: str
-    dp_makespan: float | None = None
-    oracle_makespan: float | None = None
+
+
+def _plan_text(plan: dp_scheduler.Plan) -> str:
+    """Plan as `device:first-last|...`, device indices in pipeline order."""
+    return "|".join(f"{s.device}:{s.start_layer}-{s.end_layer}"
+                    for s in plan.stages)
 
 
 Solver = Callable[[cost_tables.CostTables], dp_scheduler.SolveResult]
@@ -241,7 +243,8 @@ Solver = Callable[[cost_tables.CostTables], dp_scheduler.SolveResult]
 
 def verify_suite(instances: Sequence[SuiteInstance],
                  solver: Solver | None = None) -> list[VerifyOutcome]:
-    """Check the solver against the brute-force oracle on every instance.
+    """Check the solver's makespan and plan against the brute-force oracle,
+    and replay the solver's plan, on every instance.
 
     The solver is injectable (late-bound to dp_scheduler.solve) so the
     harness can prove to itself that it detects a miscosted solver.
@@ -256,30 +259,31 @@ def verify_suite(instances: Sequence[SuiteInstance],
         tables = cost_tables.build(profiles, list(sc.devices), t)
         try:
             result = solver(tables)
-            dp_value = result.makespan_s
         except InfeasibleError:
-            result, dp_value = None, None
+            result = None
         try:
-            oracle_value, _ = baselines.brute_force(tables)
+            oracle_value, oracle_plan = baselines.brute_force(tables)
         except InfeasibleError:
             oracle_value = None
 
-        if dp_value is None and oracle_value is None:
+        if result is None and oracle_value is None:
             outcomes.append(VerifyOutcome(idx, True, "both infeasible"))
             continue
-        if dp_value is None or oracle_value is None:
-            side = "solver" if dp_value is None else "oracle"
+        if result is None or oracle_value is None:
+            side = "solver" if result is None else "oracle"
             outcomes.append(VerifyOutcome(
-                idx, False, f"only the {side} reports infeasibility",
-                dp_value, oracle_value))
+                idx, False, f"only the {side} reports infeasibility"))
             continue
+        dp_value = result.makespan_s
         replay = evaluate(result.plan, tables).makespan_s
         if not close_enough(dp_value, oracle_value):
             detail = f"solver {dp_value!r} != oracle {oracle_value!r}"
-            outcomes.append(VerifyOutcome(idx, False, detail, dp_value, oracle_value))
+        elif result.plan != oracle_plan:
+            detail = (f"solver plan {_plan_text(result.plan)} != "
+                      f"oracle plan {_plan_text(oracle_plan)}")
         elif not close_enough(replay, dp_value):
             detail = f"plan replays to {replay!r}, solver claimed {dp_value!r}"
-            outcomes.append(VerifyOutcome(idx, False, detail, dp_value, oracle_value))
         else:
-            outcomes.append(VerifyOutcome(idx, True, "ok", dp_value, oracle_value))
+            detail = "ok"
+        outcomes.append(VerifyOutcome(idx, detail == "ok", detail))
     return outcomes

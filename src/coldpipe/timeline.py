@@ -80,6 +80,16 @@ class Timeline:
         }
 
 
+def tie_key(timeline: Timeline) -> tuple:
+    """Order of equal-makespan plans, shared by the solver and the oracle:
+    (makespan, stage count, device mask, then (device, finish_s,
+    start_layer) for each stage from the last)."""
+    return (timeline.makespan_s, len(timeline.stages),
+            sum(1 << s.device for s in timeline.stages),
+            *[(s.device, s.finish_s, s.start_layer)
+              for s in reversed(timeline.stages)])
+
+
 def evaluate(plan: Plan, tables: CostTables, check_memory: bool = True) -> Timeline:
     """Run the timeline recurrence over the plan's stages."""
     # Validation comes first: it is what keeps the table indices in range.
@@ -109,20 +119,3 @@ def evaluate(plan: Plan, tables: CostTables, check_memory: bool = True) -> Timel
         finish_prev = finish
         prev_device = d
     return Timeline(stages=tuple(stages), makespan_s=float(finish_prev))
-
-
-@dataclass(frozen=True)
-class BubbleReport:
-    """Obstructive idle time per stage (loading done, input not yet there).
-
-    Idle after a stage's compute could be filled by later requests and does
-    not affect the makespan, so it is not reported here.
-    """
-
-    stage_waits: tuple[float, ...]
-    total_wait_s: float
-
-
-def bubble_report(timeline: Timeline) -> BubbleReport:
-    waits = tuple(s.wait_s for s in timeline.stages)
-    return BubbleReport(stage_waits=waits, total_wait_s=sum(waits))

@@ -51,12 +51,6 @@ def test_heuristic_shares_table_fleet(fleet):
     assert plan.layer_counts[0] == max(plan.layer_counts)
 
 
-def test_heuristic_normalized_variant(fleet):
-    plan = heuristic_plan(fleet, 40, normalized=True)
-    assert plan.devices == (0, 1, 2, 3)
-    assert plan.layer_counts == (20, 11, 5, 4)
-
-
 def test_heuristic_equals_even_for_identical_devices():
     devices = [make_device(i) for i in range(4)]
     for layers in (3, 5, 16, 40):
@@ -129,4 +123,3 @@ def test_heuristic_scores_units():
     devices = [make_device(0, peak=1e13, disk=1e9)]
     raw = heuristic_scores(devices)[0]
     assert raw == pytest.approx(2 * 1e13 * 1e9 / (1e13 + 1e9), rel=1e-12)
-    assert heuristic_scores(devices, normalized=True)[0] == pytest.approx(1.0)

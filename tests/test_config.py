@@ -111,7 +111,6 @@ def test_experiment_defaults(tmp_path):
     sc = load_scenario(path)
     assert sc.token_lengths == (256, 512, 1024, 2048, 4096, 8192)
     assert sc.strategies == ("optimal_dp", "even", "heuristic", "single_device")
-    assert sc.heuristic_normalized is False
 
 
 def test_per_device_radio_override(tmp_path):

@@ -84,10 +84,11 @@ def test_matches_oracle_on_random_instances():
             with pytest.raises(InfeasibleError):
                 brute_force(tables)
             continue
-        oracle_value, _ = brute_force(tables)
+        oracle_value, oracle_plan = brute_force(tables)
         assert rel_close(result.makespan_s, oracle_value)
         replay = evaluate(result.plan, tables).makespan_s
         assert rel_close(replay, result.makespan_s)
+        assert oracle_plan == result.plan
 
 
 @st.composite
@@ -125,6 +126,7 @@ def test_matches_oracle_on_heterogeneous_layers(tables):
     validate_plan(result.plan, tables, check_memory=True)
     assert rel_close(evaluate(result.plan, tables).makespan_s, result.makespan_s)
     assert rel_close(evaluate(oracle_plan, tables).makespan_s, oracle_value)
+    assert oracle_plan == result.plan
 
 
 def test_exact_tie_prefers_fewer_devices():
@@ -146,8 +148,16 @@ def test_fewer_layers_than_devices():
     tables = make_tables([(1e12, 1e6, 5e8)] * 2, devices)
     result = solve(tables)
     assert len(result.plan.stages) <= 2
-    oracle_value, _ = brute_force(tables)
+    oracle_value, oracle_plan = brute_force(tables)
     assert rel_close(result.makespan_s, oracle_value)
+    assert oracle_plan == result.plan
+
+
+def test_oracle_breaks_ties_like_the_solver():
+    # two identical devices: mirrored plans tie exactly, and the oracle must
+    # pick the solver's one, devices (1, 0)
+    tables = make_tables([(1e12, 1e6, 5e8)] * 4, [make_device(), make_device()])
+    assert brute_force(tables)[1] == solve(tables).plan
 
 
 def test_deterministic_plans():

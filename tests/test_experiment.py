@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from coldpipe.config import tab1_scenario
-from coldpipe.dp_scheduler import SolveResult, solve
+from coldpipe.dp_scheduler import Plan, SolveResult, solve
 from coldpipe.errors import InfeasibleError
-from coldpipe.experiment import (Scenario, average_improvement_pct,
+from coldpipe.experiment import (Scenario, SuiteInstance, average_improvement_pct,
                                  random_instance_suite, run_sweep,
                                  verify_suite)
 from coldpipe.presets import MODEL_PRESETS
@@ -116,6 +118,24 @@ def test_verify_suite_detects_miscosted_solver():
     outcomes = verify_suite(random_instance_suite(10, seed=9),
                             solver=skewed_solver)
     assert any(not o.ok for o in outcomes)
+
+
+def test_verify_suite_detects_mirrored_plan():
+    # on two identical devices the mirrored plan has the same makespan, so
+    # only the plan check can catch it
+    model = dataclasses.replace(MODEL_PRESETS["qwen3_14b"], num_layers=4)
+    sc = Scenario(model=model, devices=(make_device(0), make_device(1)),
+                  token_lengths=(512,), strategies=("optimal_dp", "brute_force"))
+
+    def mirrored_solver(tables):
+        result = solve(tables)
+        stages = tuple(dataclasses.replace(s, device=1 - s.device)
+                       for s in result.plan.stages)
+        return SolveResult(makespan_s=result.makespan_s, plan=Plan(stages))
+
+    [outcome] = verify_suite([SuiteInstance(sc)], solver=mirrored_solver)
+    assert not outcome.ok
+    assert outcome.detail == "solver plan 0:1-2|1:3-4 != oracle plan 1:1-2|0:3-4"
 
 
 def test_infeasibility_reports_token_length():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from coldpipe.baselines import even_plan
 from coldpipe.dp_scheduler import Plan, PlanStage
 from coldpipe.errors import PlanError
-from coldpipe.timeline import bubble_report, evaluate
+from coldpipe.timeline import evaluate
 from conftest import make_device, make_tables
 
 
@@ -90,19 +90,18 @@ def test_memory_check_optional():
 def test_bubble_report_matches_recomputation(tab1_tables, fleet):
     tables = tab1_tables(4096)
     tl = evaluate(even_plan(fleet, 40), tables)
-    report = bubble_report(tl)
+    waits = [s.wait_s for s in tl.stages]
     finish_prev = 0.0
-    for stage, wait in zip(tl.stages, report.stage_waits):
+    for stage, wait in zip(tl.stages, waits):
         assert wait == max(0.0, finish_prev - stage.load_s)
         finish_prev = stage.finish_s
-    assert report.total_wait_s == sum(report.stage_waits)
-    assert report.total_wait_s == tl.total_wait_s
+    assert tl.total_wait_s == sum(waits)
 
 
 def test_bubble_report_zero_for_single_stage():
     tables = single_device_tables()
     tl = evaluate(Plan(stages=(PlanStage(0, 1, 4),)), tables)
-    assert bubble_report(tl).total_wait_s == 0.0
+    assert tl.total_wait_s == 0.0
 
 
 @st.composite

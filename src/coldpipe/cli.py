@@ -5,7 +5,7 @@ Subcommands:
   sweep        run the configured token-length sweep, write a CSV
   gantt        render one cell as an SVG or ASCII Gantt chart
   verify       solver-vs-oracle check on randomized small instances
-  dump-config  write a normalized config (from a preset or an existing file)
+  dump-config  write a normalized copy of a config file
 
 Exit codes: 0 ok, 1 usage, 2 config error, 3 infeasible, 4 verification
 failure.
@@ -132,12 +132,7 @@ def rows_to_csv(rows) -> str:
 
 
 def cmd_sweep(args) -> int:
-    scenario = config.load_scenario(args.config)
-    try:
-        rows = experiment.run_sweep(scenario)
-    except InfeasibleError as err:
-        print(f"infeasible: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    rows = experiment.run_sweep(config.load_scenario(args.config))
     out = Path(args.out)
     _atomic_write(out, rows_to_csv(rows))
     print(f"wrote {out} ({len(rows)} rows)")
@@ -154,12 +149,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_gantt(args) -> int:
     scenario = config.load_scenario(args.config)
-    try:
-        timeline = experiment.run_cell(
-            scenario, args.strategy, _build_tables(scenario, args.tokens))
-    except InfeasibleError as err:
-        print(f"infeasible: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    timeline = experiment.run_cell(
+        scenario, args.strategy, _build_tables(scenario, args.tokens))
     labels = [f"Device {dev.id}" for dev in scenario.devices]
     title = f"{args.strategy} @ {args.tokens} tokens"
     if args.format == "svg":
@@ -187,11 +178,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_config(args) -> int:
-    if args.preset:
-        scenario = config.CONFIG_PRESETS[args.preset]()
-    else:
-        scenario = config.load_scenario(args.config)
-    text = config.dump_scenario(scenario)
+    text = config.dump_scenario(config.load_scenario(args.config))
     if args.out:
         _atomic_write(Path(args.out), text)
         print(f"wrote {args.out}")
@@ -235,9 +222,7 @@ def build_parser() -> _Parser:
     verify.set_defaults(func=cmd_verify)
 
     dump = sub.add_parser("dump-config", help="write a normalized config")
-    source = dump.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=sorted(config.CONFIG_PRESETS))
-    source.add_argument("--config")
+    dump.add_argument("--config", required=True)
     dump.add_argument("--out")
     dump.set_defaults(func=cmd_dump_config)
 

@@ -25,7 +25,7 @@ from .device_model import DeviceProfile, RadioParams
 from .errors import ConfigError
 from .experiment import Scenario
 from .model_profile import ModelConfig
-from .presets import MODEL_PRESETS, tab1_devices
+from .presets import MODEL_PRESETS
 
 DEFAULT_TOKEN_LENGTHS = (256, 512, 1024, 2048, 4096, 8192)
 DEFAULT_STRATEGIES = ("optimal_dp", "even", "heuristic", "single_device")
@@ -288,18 +288,3 @@ def scenario_to_mapping(scenario: Scenario) -> dict:
 
 def dump_scenario(scenario: Scenario) -> str:
     return yaml.safe_dump(scenario_to_mapping(scenario), sort_keys=False)
-
-
-def tab1_scenario() -> Scenario:
-    """The shipped four-device fleet with the Qwen3-14B preset."""
-    return Scenario(
-        model=MODEL_PRESETS["qwen3_14b"],
-        devices=tab1_devices(),
-        token_lengths=DEFAULT_TOKEN_LENGTHS,
-        strategies=DEFAULT_STRATEGIES,
-        seed=0,
-        model_name="qwen3_14b",
-    )
-
-
-CONFIG_PRESETS = {"tab1": tab1_scenario}

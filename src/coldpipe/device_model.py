@@ -10,9 +10,16 @@ Unit conventions (kept explicit everywhere):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DegenerateScenarioError
+
+
+def _require_finite(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +42,7 @@ class RadioParams:
     efficiency: float
 
     def __post_init__(self):
+        _require_finite(self, [f.name for f in fields(self)])
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
         if self.distance_m <= 0 or self.ref_distance_m <= 0:
@@ -58,6 +66,8 @@ class DeviceProfile:
     radio: RadioParams
 
     def __post_init__(self):
+        _require_finite(self, ("peak_flops", "util_ceiling", "util_rate",
+                               "disk_bytes_per_s", "memory_bytes"))
         if not 0 < self.util_ceiling <= 1:
             raise ValueError("util_ceiling must lie in (0, 1]")
         if self.util_rate <= 0:

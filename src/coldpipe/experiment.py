@@ -17,8 +17,7 @@ from typing import Callable, Sequence
 from . import baselines, cost_tables, dp_scheduler
 from .device_model import DeviceProfile, RadioParams
 from .errors import InfeasibleError, PlanError
-from .model_profile import ModelConfig, build_profiles
-from .presets import TAB1_RANGES
+from .model_profile import ModelConfig, build_profiles, layer_sizes
 from .timeline import Timeline, evaluate
 
 BASELINE_STRATEGIES = ("even", "heuristic", "single_device")
@@ -49,6 +48,8 @@ class Scenario:
             raise ValueError("scenario needs at least one device")
         if not self.token_lengths or any(t < 1 for t in self.token_lengths):
             raise ValueError("token_lengths must be nonempty and positive")
+        for t in self.token_lengths:
+            layer_sizes(self.model, t)
         if not self.strategies:
             raise ValueError("scenario needs at least one strategy")
         for s in self.strategies:
@@ -144,6 +145,20 @@ class SuiteInstance:
     scenario: Scenario
 
 
+# Value ranges of the device rows in configs/tab1.yaml; random devices draw
+# from ranges widened tenfold each way (transmit powers and gain by 10 dB).
+_FLEET_RANGES = {
+    "peak_flops": (20e12, 165e12),
+    "util_ceiling": (0.4, 0.8),
+    "util_rate": (5.1e-4, 1.8e-3),
+    "disk_bytes_per_s": (2000e6, 5000e6),
+    "memory_bytes": (8e9, 20e9),
+    "distance_m": (1.0, 7.0),
+    "bandwidth_hz": (160e6, 160e6),
+    "efficiency": (0.5, 0.5),
+}
+
+
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
     if lo == hi:
         return lo
@@ -151,7 +166,7 @@ def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
 
 
 def _range10(key: str) -> tuple[float, float]:
-    lo, hi = TAB1_RANGES[key]
+    lo, hi = _FLEET_RANGES[key]
     return lo / 10.0, hi * 10.0
 
 
@@ -164,10 +179,8 @@ def _quantize(value: float, step: float) -> float:
 def _random_device(rng: random.Random, idx: int) -> DeviceProfile:
     radio = RadioParams(
         bandwidth_hz=_quantize(_log_uniform(rng, *_range10("bandwidth_hz")), 1.25e5),
-        tx_power_up_dbm=rng.uniform(TAB1_RANGES["tx_power_up_dbm"][0] - 10,
-                                    TAB1_RANGES["tx_power_up_dbm"][1] + 10),
-        tx_power_down_dbm=rng.uniform(TAB1_RANGES["tx_power_down_dbm"][0] - 10,
-                                      TAB1_RANGES["tx_power_down_dbm"][1] + 10),
+        tx_power_up_dbm=rng.uniform(5.0, 30.0),
+        tx_power_down_dbm=rng.uniform(15.0, 35.0),
         noise_dbm_per_hz=-174.0,
         distance_m=_log_uniform(rng, *_range10("distance_m")),
         ref_distance_m=1.0,

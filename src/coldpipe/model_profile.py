@@ -5,14 +5,15 @@ Only the repeated transformer blocks are modeled (no embedding or output
 head, no KV cache).  All layers share one configuration, so a profile list
 is uniform, but downstream code treats layers individually.
 
-The sizing functions do exact integer arithmetic (Python ints, unbounded),
-so results are exact for any practical input.  Downstream cost tables store
-them as float64; that conversion is lossless below 2**53 FLOPs, i.e. for
-token lengths up to roughly 1e7 at Qwen3-14B-like dimensions.
+The sizing functions do exact integer arithmetic (Python ints, unbounded).
+Downstream cost tables store them as float64, which is exact up to 2**53;
+`layer_sizes` rejects any token count past that bound.  At Qwen3-14B
+dimensions the largest accepted token count is 647,245.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -51,8 +52,9 @@ class LayerProfile:
     param_bytes: float
 
     def __post_init__(self):
-        if self.workload_flops < 0 or self.activation_bytes < 0 or self.param_bytes < 0:
-            raise ValueError("layer profile fields must be nonnegative")
+        values = (self.workload_flops, self.activation_bytes, self.param_bytes)
+        if not all(math.isfinite(v) and v >= 0 for v in values):
+            raise ValueError("layer profile fields must be finite and nonnegative")
 
 
 def _check_tokens(t: int) -> None:
@@ -97,12 +99,26 @@ def layer_param_bytes(cfg: ModelConfig) -> int:
     return cfg.bytes_per_element * (attn_elems + ffn_elems)
 
 
+def layer_sizes(cfg: ModelConfig, t: int) -> tuple[int, int, int]:
+    """(FLOPs, activation bytes, weight bytes) of one block at t tokens.
+
+    Raises ValueError naming t when any of them exceeds 2**53, past which
+    float64 no longer holds every integer.
+    """
+    sizes = (layer_workload(cfg, t), activation_bytes(cfg, t),
+             layer_param_bytes(cfg))
+    if max(sizes) > 2**53:
+        raise ValueError(f"token count {t} is too large: one layer's FLOPs or "
+                         "bytes exceed 2**53, the float64-exact limit")
+    return sizes
+
+
 def build_profiles(cfg: ModelConfig, t: int) -> list[LayerProfile]:
     """One LayerProfile per block; uniform because blocks share a config."""
-    _check_tokens(t)
+    flops, act_bytes, param_bytes = layer_sizes(cfg, t)
     profile = LayerProfile(
-        workload_flops=float(layer_workload(cfg, t)),
-        activation_bytes=float(activation_bytes(cfg, t)),
-        param_bytes=float(layer_param_bytes(cfg)),
+        workload_flops=float(flops),
+        activation_bytes=float(act_bytes),
+        param_bytes=float(param_bytes),
     )
     return [profile] * cfg.num_layers

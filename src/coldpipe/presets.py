@@ -1,14 +1,13 @@
-"""Shipped presets: the Qwen3-14B model card values and the four-device
-evaluation fleet.
+"""Shipped model presets: the Qwen3-14B model card values.
 
 Qwen3-14B hyperparameters are taken from the public model card
 (hidden size 5120, 40 query heads, 8 KV heads, head dim 128, FFN 17408,
-40 transformer blocks, bf16 weights and activations).
+40 transformer blocks, bf16 weights and activations).  The evaluation
+fleet lives in configs/tab1.yaml.
 """
 
 from __future__ import annotations
 
-from .device_model import DeviceProfile, RadioParams
 from .model_profile import ModelConfig
 
 MODEL_PRESETS: dict[str, ModelConfig] = {
@@ -22,61 +21,3 @@ MODEL_PRESETS: dict[str, ModelConfig] = {
         bytes_per_element=2,
     ),
 }
-
-# Radio parameters shared by the whole evaluation fleet.
-TAB1_RADIO_SHARED = {
-    "efficiency": 0.5,
-    "bandwidth_hz": 160e6,
-    "noise_dbm_per_hz": -174.0,
-    "tx_power_down_dbm": 25.0,
-    "ref_distance_m": 1.0,
-    "path_loss_exp": 3.0,
-    "ref_gain_db": -47.2,
-}
-
-# Per-device rows: (peak FLOPS, util ceiling, util rate, disk B/s,
-# memory B, uplink power dBm, distance m).  Compute is in TFLOPS, disk in
-# decimal MB/s, memory in decimal GB.
-_TAB1_ROWS = (
-    (165e12, 0.4, 5.1e-4, 5000e6, 20e9, 20.0, 1.0),
-    (70e12, 0.7, 8.7e-4, 4000e6, 10e9, 18.0, 3.0),
-    (30e12, 0.8, 1.1e-3, 3000e6, 8e9, 15.0, 5.0),
-    (20e12, 0.8, 1.8e-3, 2000e6, 8e9, 15.0, 7.0),
-)
-
-# Value ranges of the fleet rows, used to scope randomized test instances.
-TAB1_RANGES = {
-    "peak_flops": (20e12, 165e12),
-    "util_ceiling": (0.4, 0.8),
-    "util_rate": (5.1e-4, 1.8e-3),
-    "disk_bytes_per_s": (2000e6, 5000e6),
-    "memory_bytes": (8e9, 20e9),
-    "tx_power_up_dbm": (15.0, 20.0),
-    "tx_power_down_dbm": (25.0, 25.0),
-    "distance_m": (1.0, 7.0),
-    "bandwidth_hz": (160e6, 160e6),
-    "efficiency": (0.5, 0.5),
-    "path_loss_exp": (3.0, 3.0),
-    "ref_gain_db": (-47.2, -47.2),
-}
-
-
-def tab1_devices() -> tuple[DeviceProfile, ...]:
-    """The four heterogeneous devices of the evaluation fleet."""
-    devices = []
-    for idx, (peak, ceil, rate, disk, mem, up_dbm, dist) in enumerate(_TAB1_ROWS):
-        radio = RadioParams(
-            tx_power_up_dbm=up_dbm,
-            distance_m=dist,
-            **TAB1_RADIO_SHARED,
-        )
-        devices.append(DeviceProfile(
-            id=idx + 1,
-            peak_flops=peak,
-            util_ceiling=ceil,
-            util_rate=rate,
-            disk_bytes_per_s=disk,
-            memory_bytes=mem,
-            radio=radio,
-        ))
-    return tuple(devices)

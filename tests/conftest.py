@@ -1,9 +1,19 @@
+from pathlib import Path
+
 import pytest
 
 from coldpipe import cost_tables
+from coldpipe.config import load_scenario
 from coldpipe.device_model import DeviceProfile, RadioParams
 from coldpipe.model_profile import LayerProfile, build_profiles
-from coldpipe.presets import MODEL_PRESETS, tab1_devices
+from coldpipe.presets import MODEL_PRESETS
+
+TAB1_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "tab1.yaml"
+
+
+def tab1_scenario():
+    """The shipped four-device fleet, loaded from configs/tab1.yaml."""
+    return load_scenario(TAB1_CONFIG)
 
 
 @pytest.fixture
@@ -13,7 +23,7 @@ def qwen_cfg():
 
 @pytest.fixture
 def fleet():
-    return list(tab1_devices())
+    return list(tab1_scenario().devices)
 
 
 @pytest.fixture

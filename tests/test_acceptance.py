@@ -6,11 +6,9 @@ on success).  Tolerances are fixed here, not calibrated elsewhere.
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from coldpipe import cost_tables, dp_scheduler
 from coldpipe.cli import main
-from coldpipe.config import tab1_scenario
 from coldpipe.device_model import link_rate
 from coldpipe.experiment import (RELATIVE_TOLERANCE, average_improvement_pct,
                                  random_instance_suite, run_sweep,
@@ -18,11 +16,10 @@ from coldpipe.experiment import (RELATIVE_TOLERANCE, average_improvement_pct,
 from coldpipe.model_profile import (ModelConfig, attn_flops, build_profiles,
                                     activation_bytes, ffn_flops,
                                     layer_param_bytes)
-from coldpipe.presets import tab1_devices
 from coldpipe.timeline import evaluate
-from conftest import make_device, make_tables
+from conftest import TAB1_CONFIG, make_device, make_tables, tab1_scenario
 
-CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "tab1.yaml")
+CONFIG = str(TAB1_CONFIG)
 REL = 1e-9
 
 
@@ -184,7 +181,7 @@ def test_criterion_6_model_formulas_exact():
 
 
 def test_criterion_7_link_budget():
-    device1 = tab1_devices()[0]
+    device1 = tab1_scenario().devices[0]
     rate = link_rate(device1.radio, "up")
     target = 1.72e9  # hand-derived from the dBm/dB budget
     ok = abs(rate - target) <= 0.01 * target

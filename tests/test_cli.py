@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -6,7 +9,9 @@ import pytest
 
 from coldpipe.cli import main
 
-CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "tab1.yaml")
+from conftest import TAB1_CONFIG
+
+CONFIG = str(TAB1_CONFIG)
 
 
 def run(argv, capsys):
@@ -53,6 +58,27 @@ def test_bad_tokens_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tokens", ["647246", "1" + "0" * 200],
+                         ids=["first-inexact", "1e200"])
+def test_tokens_past_float64_exactness_usage_error(capsys, tokens):
+    code, out, err = run(["solve", "--config", CONFIG, "--tokens", tokens],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: token count {tokens} ")
+    assert err.count("\n") == 1
+
+
+def test_config_tokens_past_float64_exactness_config_error(tmp_path, capsys):
+    cfg = _edited_tab1(tmp_path, "  - 8192", "  - 1" + "0" * 200)
+    code, out, err = run(["sweep", "--config", cfg,
+                          "--out", str(tmp_path / "r.csv")], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: token count 1" + "0" * 200 + " ")
+    assert err.count("\n") == 1
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("model: {preset: qwen3_14b}\n")  # missing sections
@@ -71,6 +97,12 @@ def test_infeasible_exit_code_and_diagnostic(tmp_path, capsys):
     assert code == 3
     assert "memory headroom" in err
     assert "Device 1" in err
+    for argv in (["sweep", "--out", str(tmp_path / "r.csv")],
+                 ["gantt", "--tokens", "2048", "--format", "ascii"]):
+        code, out, err = run([*argv, "--config", str(cfg)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("infeasible: ") and err.count("\n") == 1
 
 
 def test_sweep_writes_csv(tmp_path, capsys):
@@ -156,7 +188,7 @@ def test_verify_detects_injected_solver_fault(capsys, monkeypatch):
 
 def test_dump_config_round_trip(tmp_path, capsys):
     out = tmp_path / "dumped.yaml"
-    code, _, _ = run(["dump-config", "--preset", "tab1", "--out", str(out)], capsys)
+    code, _, _ = run(["dump-config", "--config", CONFIG, "--out", str(out)], capsys)
     assert code == 0
     assert out.read_text() == Path(CONFIG).read_text()
     redumped = tmp_path / "again.yaml"
@@ -168,6 +200,19 @@ def test_dump_config_round_trip(tmp_path, capsys):
 
 def test_missing_subcommand_usage_error(capsys):
     assert run([], capsys)[0] == 1
+
+
+def test_readme_quick_start_commands_succeed(tmp_path, capsys, monkeypatch):
+    readme = (TAB1_CONFIG.parents[1] / "README.md").read_text()
+    block = re.search(r"## Quick start\n.*?```sh\n(.*?)```", readme, re.S)[1]
+    commands = [shlex.split(line)[1:]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("coldpipe ")]
+    assert commands
+    shutil.copytree(TAB1_CONFIG.parent, tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv, capsys)[0] == 0, argv
 
 
 def _edited_tab1(tmp_path, old, new):

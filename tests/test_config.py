@@ -1,21 +1,17 @@
 import textwrap
-from pathlib import Path
 
 import pytest
 import yaml
 
 from coldpipe.config import (dump_scenario, load_scenario,
-                             scenario_from_mapping, scenario_to_mapping,
-                             tab1_scenario)
+                             scenario_from_mapping, scenario_to_mapping)
 from coldpipe.errors import ConfigError
 from coldpipe.experiment import random_instance_suite
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+from conftest import TAB1_CONFIG, tab1_scenario
 
 
 def test_shipped_tab1_config_loads():
-    sc = load_scenario(CONFIG_DIR / "tab1.yaml")
-    assert sc == tab1_scenario()
+    sc = load_scenario(TAB1_CONFIG)
     assert sc.model.d_model == 5120
     assert sc.model.num_layers == 40
     assert [d.peak_flops for d in sc.devices] == [165e12, 70e12, 30e12, 20e12]

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from coldpipe.device_model import (channel_gain, effective_compute, link_rate,
                                    utilization)
 from coldpipe.errors import DegenerateScenarioError
+from coldpipe.model_profile import LayerProfile
 from conftest import make_device, make_radio
 
 
@@ -120,3 +121,23 @@ def test_profile_validation():
         make_radio(eff=0.0)
     with pytest.raises(ValueError):
         make_radio(dist=-1.0)
+
+
+def _layer(**fields):
+    return LayerProfile(**{"workload_flops": 1.0, "activation_bytes": 1.0,
+                           "param_bytes": 1.0, **fields})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make, field", [
+    *[pytest.param(make_device, f, id=f)
+      for f in ("peak", "ceiling", "rate", "disk", "memory", "up_dbm",
+                "down_dbm", "noise", "dist", "ref_dist", "exp", "ref_gain",
+                "bandwidth", "eff")],
+    *[pytest.param(_layer, f, id=f)
+      for f in ("workload_flops", "activation_bytes", "param_bytes")],
+])
+def test_non_finite_fields_rejected(make, field, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(**{field: value})

@@ -2,14 +2,13 @@ import dataclasses
 
 import pytest
 
-from coldpipe.config import tab1_scenario
 from coldpipe.dp_scheduler import Plan, SolveResult, solve
 from coldpipe.errors import InfeasibleError
 from coldpipe.experiment import (Scenario, SuiteInstance, average_improvement_pct,
                                  random_instance_suite, run_sweep,
                                  verify_suite)
 from coldpipe.presets import MODEL_PRESETS
-from conftest import make_device
+from conftest import make_device, tab1_scenario
 
 REL = 1e-9
 

@@ -4,7 +4,8 @@ import pytest
 
 from coldpipe.model_profile import (ModelConfig, attn_flops, build_profiles,
                                     activation_bytes, ffn_flops,
-                                    layer_param_bytes, layer_workload)
+                                    layer_param_bytes, layer_sizes,
+                                    layer_workload)
 
 UNIT_CFG = ModelConfig(d_model=1, h_q=1, h_kv=1, d_head=1, d_ff=1,
                        num_layers=1, bytes_per_element=2)
@@ -113,8 +114,13 @@ def test_config_validation():
         ModelConfig(d_model=1, h_q=1, h_kv=1, d_head=1, d_ff=1, num_layers=-3)
 
 
-def test_no_overflow_at_large_inputs():
+def test_no_overflow_at_large_inputs(qwen_cfg):
     cfg = ModelConfig(d_model=10**5, h_q=64, h_kv=64, d_head=256,
                       d_ff=10**5, num_layers=1)
     w = layer_workload(cfg, 10**6)
     assert w > 0 and isinstance(w, int)
+    # float64 holds every integer up to 2**53; the bound is the first token
+    # count whose layer FLOPs pass it
+    assert max(layer_sizes(qwen_cfg, 647_245)) <= 2**53
+    with pytest.raises(ValueError, match="647246"):
+        build_profiles(qwen_cfg, 647_246)

@@ -8,7 +8,7 @@ Subcommands:
   dump-config  write a normalized copy of a config file
 
 Exit codes: 0 ok, 1 usage, 2 config error, 3 infeasible, 4 verification
-failure.
+failure, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import baselines, config, cost_tables, experiment
+from . import baselines, config, experiment
 from .errors import (ConfigError, DegenerateScenarioError, InfeasibleError,
                      PlanError)
 from .gantt import render_ascii, render_svg
-from .model_profile import build_profiles
 from .timeline import Timeline
 
 CSV_COLUMNS = ("token_length", "strategy", "makespan_s", "load_s_total",
@@ -36,6 +35,7 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that quit early
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,11 +55,6 @@ def _atomic_write(path: Path, data: str) -> None:
 
 def _fmt(value: float) -> str:
     return format(value, ".9g")
-
-
-def _build_tables(scenario, tokens: int) -> cost_tables.CostTables:
-    profiles = build_profiles(scenario.model, tokens)
-    return cost_tables.build(profiles, list(scenario.devices), tokens)
 
 
 def _device_label(scenario, index: int) -> str:
@@ -91,9 +86,9 @@ def _print_timeline(scenario, timeline: Timeline) -> None:
 
 def cmd_solve(args) -> int:
     scenario = config.load_scenario(args.config)
-    tables = _build_tables(scenario, args.tokens)
+    tables = experiment.build_tables(scenario, args.tokens)
     try:
-        timeline = experiment.run_cell(scenario, args.strategy, tables)
+        timeline = experiment.run_cell(args.strategy, tables)
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         _print_memory_diagnostic(scenario, tables)
@@ -122,11 +117,12 @@ def rows_to_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
+        tl = row.timeline
         improvement = "" if row.improvement_pct is None else _fmt(row.improvement_pct)
         writer.writerow([
             row.token_length, row.strategy, _fmt(row.makespan_s),
-            _fmt(row.load_s_total), _fmt(row.comm_s_total),
-            _fmt(row.comp_s_total), _fmt(row.wait_s_total), improvement,
+            _fmt(tl.total_load_s), _fmt(tl.total_comm_s),
+            _fmt(tl.total_comp_s), _fmt(tl.total_wait_s), improvement,
         ])
     return buf.getvalue()
 
@@ -150,7 +146,7 @@ def cmd_sweep(args) -> int:
 def cmd_gantt(args) -> int:
     scenario = config.load_scenario(args.config)
     timeline = experiment.run_cell(
-        scenario, args.strategy, _build_tables(scenario, args.tokens))
+        args.strategy, experiment.build_tables(scenario, args.tokens))
     labels = [f"Device {dev.id}" for dev in scenario.devices]
     title = f"{args.strategy} @ {args.tokens} tokens"
     if args.format == "svg":
@@ -245,7 +241,13 @@ def main(argv=None) -> int:
         print("error: --count must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ConfigError, DegenerateScenarioError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

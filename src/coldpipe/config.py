@@ -1,12 +1,12 @@
 """Declarative scenario configs (YAML).
 
-The file mirrors the parameter-table layout: a model section (preset name
-and/or explicit hyperparameters), a radio section with fleet-wide link
-defaults, one row per device with explicit units in the key names
-(peak_tflops, disk_read_mb_s, memory_gb, dBm powers), and an experiment
-section.  MB/GB are decimal (1e6/1e9 bytes).  Unknown keys are rejected
-with their full path, so a typo in a unit suffix fails loudly instead of
-silently changing the scenario.
+The file mirrors the parameter-table layout: a model section (the seven
+hyperparameters), a radio section with fleet-wide link defaults, one row
+per device with explicit units in the key names (peak_tflops,
+disk_read_mb_s, memory_gb, dBm powers), and an experiment section.
+MB/GB are decimal (1e6/1e9 bytes).  Unknown keys are rejected with their
+full path, so a typo in a unit suffix fails loudly instead of silently
+changing the scenario.
 
 Any radio key may sit in the shared section, in a device row (override),
 or both; every device must end up with a complete radio parameter set.
@@ -20,12 +20,10 @@ from typing import Any
 
 import yaml
 
-from .baselines import STRATEGIES
 from .device_model import DeviceProfile, RadioParams
 from .errors import ConfigError
 from .experiment import Scenario
 from .model_profile import ModelConfig
-from .presets import MODEL_PRESETS
 
 DEFAULT_TOKEN_LENGTHS = (256, 512, 1024, 2048, 4096, 8192)
 DEFAULT_STRATEGIES = ("optimal_dp", "even", "heuristic", "single_device")
@@ -96,31 +94,15 @@ def _reject_unknown(node: dict, allowed: set[str], path: str) -> None:
             _fail(f"{path}.{key}" if path else str(key), "unknown key")
 
 
-def _parse_model(node: Any) -> tuple[ModelConfig, str]:
+def _parse_model(node: Any) -> ModelConfig:
     node = _as_mapping(node, "model")
-    _reject_unknown(node, {"preset", *_MODEL_KEYS}, "model")
-    preset_name = ""
-    base: dict[str, int] = {}
-    if "preset" in node:
-        preset_name = _as_str(node["preset"], "model.preset")
-        if preset_name not in MODEL_PRESETS:
-            _fail("model.preset", f"unknown preset {preset_name!r}; "
-                  f"available: {sorted(MODEL_PRESETS)}")
-        preset = MODEL_PRESETS[preset_name]
-        base = {key: getattr(preset, key) for key in _MODEL_KEYS}
-    for key in _MODEL_KEYS:
-        if key in node:
-            value = _as_int(node[key], f"model.{key}")
-            if preset_name and base[key] != value:
-                _fail(f"model.{key}",
-                      f"{value} contradicts preset {preset_name!r} "
-                      f"({base[key]})")
-            base[key] = value
-    missing = [key for key in _MODEL_KEYS if key not in base]
+    _reject_unknown(node, set(_MODEL_KEYS), "model")
+    missing = [key for key in _MODEL_KEYS if key not in node]
     if missing:
-        _fail("model", f"missing keys {missing} (give a preset or all fields)")
+        _fail("model", f"missing keys {missing}")
+    fields = {key: _as_int(node[key], f"model.{key}") for key in _MODEL_KEYS}
     try:
-        return ModelConfig(**base), preset_name
+        return ModelConfig(**fields)
     except ValueError as err:
         raise ConfigError(f"model: {err}") from err
 
@@ -129,8 +111,7 @@ def _parse_radio_fields(node: dict, path: str) -> dict[str, float]:
     fields = {}
     for key, value in node.items():
         field, unit = _RADIO_KEYS[key]
-        raw = _as_float(value, f"{path}.{key}")
-        fields[field] = raw * unit if unit != 1.0 else raw
+        fields[field] = _as_float(value, f"{path}.{key}") * unit
     return fields
 
 
@@ -148,8 +129,7 @@ def _parse_devices(node: Any, radio_defaults: dict[str, float]) -> tuple[DeviceP
         for key, (field, unit) in _DEVICE_KEYS.items():
             if key not in row:
                 _fail(path, f"missing key {key!r}")
-            raw = _as_float(row[key], f"{path}.{key}")
-            dev_fields[field] = raw * unit if unit != 1.0 else raw
+            dev_fields[field] = _as_float(row[key], f"{path}.{key}") * unit
         overrides = _parse_radio_fields(
             {k: v for k, v in row.items() if k in _RADIO_KEYS}, path)
         radio_fields = {**radio_defaults, **overrides}
@@ -189,13 +169,8 @@ def _parse_experiment(node: Any) -> dict[str, Any]:
         raw = node["strategies"]
         if not isinstance(raw, list) or not raw:
             _fail("experiment.strategies", "expected a nonempty list")
-        strategies = tuple(
+        out["strategies"] = tuple(
             _as_str(v, f"experiment.strategies[{i}]") for i, v in enumerate(raw))
-        for s in strategies:
-            if s not in STRATEGIES:
-                _fail("experiment.strategies",
-                      f"unknown strategy {s!r}; valid: {STRATEGIES}")
-        out["strategies"] = strategies
     if "seed" in node:
         out["seed"] = _as_int(node["seed"], "experiment.seed")
     return out
@@ -207,14 +182,14 @@ def scenario_from_mapping(data: Any) -> Scenario:
     for section in ("model", "radio", "devices"):
         if section not in data:
             _fail(section, "missing section")
-    model, preset_name = _parse_model(data["model"])
+    model = _parse_model(data["model"])
     radio_node = _as_mapping(data["radio"], "radio")
     _reject_unknown(radio_node, set(_RADIO_KEYS), "radio")
     radio_defaults = _parse_radio_fields(radio_node, "radio")
     devices = _parse_devices(data["devices"], radio_defaults)
     exp = _parse_experiment(data.get("experiment"))
     try:
-        return Scenario(model=model, devices=devices, model_name=preset_name, **exp)
+        return Scenario(model=model, devices=devices, **exp)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -235,8 +210,6 @@ def load_scenario(path: str | Path) -> Scenario:
 def _in_unit(value: float, unit: float, path: str) -> float:
     """Display value v with v * unit == value exactly, so that a dumped
     config reloads to the identical scenario."""
-    if unit == 1.0:
-        return value
     v = value / unit
     for _ in range(16):
         if v * unit == value:
@@ -248,11 +221,7 @@ def _in_unit(value: float, unit: float, path: str) -> float:
 
 def scenario_to_mapping(scenario: Scenario) -> dict:
     """Normalized config mapping; inverse of scenario_from_mapping."""
-    model_section: dict[str, Any] = {}
-    if scenario.model_name:
-        model_section["preset"] = scenario.model_name
-    for key in _MODEL_KEYS:
-        model_section[key] = getattr(scenario.model, key)
+    model_section = {key: getattr(scenario.model, key) for key in _MODEL_KEYS}
 
     # Shared radio values come from the first device; rows carry overrides.
     first = scenario.devices[0].radio

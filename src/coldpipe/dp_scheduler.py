@@ -131,9 +131,8 @@ def compute_table(tables: CostTables) -> DpTable:
     state_count(K, L)  # enforces the fleet-size guard
 
     load_s, comp_s, comm_s = tables.load_s, tables.comp_s, tables.comm_s
-    # Infeasible segments cost +inf; boundary 0 belongs to the base case.
+    # Infeasible segments cost +inf.
     comp_or_inf = np.where(tables.fits, comp_s, np.inf)
-    comp_or_inf[:, 0, :] = np.inf
 
     n_masks = 1 << K
     values = np.full((n_masks, L + 1, K), np.inf)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import baselines, cost_tables, dp_scheduler
@@ -38,7 +38,6 @@ class Scenario:
     token_lengths: tuple[int, ...]
     strategies: tuple[str, ...]
     seed: int = 0
-    model_name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "devices", tuple(self.devices))
@@ -65,16 +64,17 @@ class ResultRow:
     token_length: int
     strategy: str
     makespan_s: float
-    load_s_total: float
-    comm_s_total: float
-    comp_s_total: float
-    wait_s_total: float
     improvement_pct: float | None  # set only on optimal_dp rows
-    timeline: Timeline = field(compare=False)
+    timeline: Timeline
 
 
-def run_cell(scenario: Scenario, strategy: str,
-             tables: cost_tables.CostTables) -> Timeline:
+def build_tables(scenario: Scenario, t: int) -> cost_tables.CostTables:
+    """Cost tables of the scenario's model and fleet at token length t."""
+    return cost_tables.build(build_profiles(scenario.model, t),
+                             list(scenario.devices), t)
+
+
+def run_cell(strategy: str, tables: cost_tables.CostTables) -> Timeline:
     """Timeline of one strategy on prebuilt tables."""
     if strategy == "optimal_dp":
         result = dp_scheduler.solve(tables)
@@ -83,17 +83,16 @@ def run_cell(scenario: Scenario, strategy: str,
         _, plan = baselines.brute_force(tables)
         return evaluate(plan, tables)
     plan = baselines.plan_for_strategy(
-        strategy, scenario.devices, scenario.model.num_layers)
+        strategy, tables.devices, tables.num_layers)
     return evaluate(plan, tables, check_memory=(strategy != "single_device"))
 
 
 def _run_token_length(scenario: Scenario, t: int) -> list[ResultRow]:
-    profiles = build_profiles(scenario.model, t)
-    tables = cost_tables.build(profiles, list(scenario.devices), t)
+    tables = build_tables(scenario, t)
     timelines: dict[str, Timeline] = {}
     for strategy in scenario.strategies:
         try:
-            timelines[strategy] = run_cell(scenario, strategy, tables)
+            timelines[strategy] = run_cell(strategy, tables)
         except (InfeasibleError, PlanError) as err:
             raise InfeasibleError(
                 f"strategy {strategy!r} at token length {t}: {err}") from err
@@ -111,10 +110,6 @@ def _run_token_length(scenario: Scenario, t: int) -> list[ResultRow]:
             token_length=t,
             strategy=strategy,
             makespan_s=tl.makespan_s,
-            load_s_total=tl.total_load_s,
-            comm_s_total=tl.total_comm_s,
-            comp_s_total=tl.total_comp_s,
-            wait_s_total=tl.total_wait_s,
             improvement_pct=improvement,
             timeline=tl,
         ))
@@ -267,9 +262,7 @@ def verify_suite(instances: Sequence[SuiteInstance],
     outcomes = []
     for idx, inst in enumerate(instances):
         sc = inst.scenario
-        t = sc.token_lengths[0]
-        profiles = build_profiles(sc.model, t)
-        tables = cost_tables.build(profiles, list(sc.devices), t)
+        tables = build_tables(sc, sc.token_lengths[0])
         try:
             result = solver(tables)
         except InfeasibleError:

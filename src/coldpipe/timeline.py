@@ -60,7 +60,8 @@ class Timeline:
         return sum(s.wait_s for s in self.stages)
 
     def to_dict(self) -> dict:
-        """Plain-data form consumed by the Gantt renderers and JSON output."""
+        """Plain-data form written by `solve --out`; the Gantt renderers
+        take the Timeline itself."""
         return {
             "makespan_s": self.makespan_s,
             "stages": [

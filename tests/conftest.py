@@ -6,7 +6,6 @@ from coldpipe import cost_tables
 from coldpipe.config import load_scenario
 from coldpipe.device_model import DeviceProfile, RadioParams
 from coldpipe.model_profile import LayerProfile, build_profiles
-from coldpipe.presets import MODEL_PRESETS
 
 TAB1_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "tab1.yaml"
 
@@ -18,7 +17,7 @@ def tab1_scenario():
 
 @pytest.fixture
 def qwen_cfg():
-    return MODEL_PRESETS["qwen3_14b"]
+    return tab1_scenario().model
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 import json
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -81,7 +84,7 @@ def test_config_tokens_past_float64_exactness_config_error(tmp_path, capsys):
 
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("model: {preset: qwen3_14b}\n")  # missing sections
+    bad.write_text("model: {d_model: 5120}\n")  # missing sections
     code, _, err = run(["solve", "--config", str(bad), "--tokens", "64"], capsys)
     assert code == 2
     assert "config error" in err
@@ -222,6 +225,29 @@ def _edited_tab1(tmp_path, old, new):
     path = tmp_path / "edited.yaml"
     path.write_text(text.replace(old, new, 1))
     return str(path)
+
+
+def test_model_preset_is_unknown_key(tmp_path, capsys):
+    cfg = _edited_tab1(tmp_path, "model:\n", "model:\n  preset: qwen3_14b\n")
+    code, out, err = run(["solve", "--config", cfg, "--tokens", "2048"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "config error: model.preset: unknown key\n"
+
+
+def test_closed_stdout_exits_quietly():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(TAB1_CONFIG.parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coldpipe.cli", "solve", "--config", CONFIG,
+         "--tokens", "2048"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader quits before the first line arrives
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_zero_link_rate_is_config_error(tmp_path, capsys):

@@ -1,12 +1,14 @@
+import copy
 import textwrap
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from coldpipe.config import (dump_scenario, load_scenario,
                              scenario_from_mapping, scenario_to_mapping)
 from coldpipe.errors import ConfigError
-from coldpipe.experiment import random_instance_suite
+from coldpipe.experiment import Scenario, random_instance_suite
 from conftest import TAB1_CONFIG, tab1_scenario
 
 
@@ -63,33 +65,6 @@ def test_missing_device_key(tmp_path):
         load_scenario(path)
 
 
-def test_preset_conflict_rejected(tmp_path):
-    data = scenario_to_mapping(tab1_scenario())
-    data["model"]["d_ff"] = 9999
-    path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump(data))
-    with pytest.raises(ConfigError, match="preset"):
-        load_scenario(path)
-
-
-def test_model_without_preset(tmp_path):
-    data = scenario_to_mapping(tab1_scenario())
-    del data["model"]["preset"]
-    path = tmp_path / "ok.yaml"
-    path.write_text(yaml.safe_dump(data))
-    sc = load_scenario(path)
-    assert sc.model == tab1_scenario().model
-    assert sc.model_name == ""
-
-
-def test_model_preset_only(tmp_path):
-    data = scenario_to_mapping(tab1_scenario())
-    data["model"] = {"preset": "qwen3_14b"}
-    path = tmp_path / "ok.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert load_scenario(path).model == tab1_scenario().model
-
-
 def test_unknown_strategy_rejected(tmp_path):
     data = scenario_to_mapping(tab1_scenario())
     data["experiment"]["strategies"] = ["optimal_dp", "magic"]
@@ -112,7 +87,8 @@ def test_experiment_defaults(tmp_path):
 def test_per_device_radio_override(tmp_path):
     path = tmp_path / "override.yaml"
     path.write_text(textwrap.dedent("""\
-        model: {preset: qwen3_14b}
+        model: {d_model: 5120, h_q: 40, h_kv: 8, d_head: 128, d_ff: 17408,
+                num_layers: 40, bytes_per_element: 2}
         radio:
           efficiency: 0.5
           bandwidth_mhz: 160.0
@@ -151,3 +127,51 @@ def test_duplicate_device_ids(tmp_path):
     path.write_text(yaml.safe_dump(data))
     with pytest.raises(ConfigError, match="duplicate"):
         load_scenario(path)
+
+
+_yaml_leaf = st.one_of(st.none(), st.booleans(),
+                       st.integers(-10**400, 10**400),
+                       st.floats(allow_nan=True, allow_infinity=True),
+                       st.text(max_size=8))
+_yaml_value = st.recursive(
+    _yaml_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.one_of(st.text(max_size=8), st.integers()),
+                        inner, max_size=3)),
+    max_leaves=8)
+
+
+def _paths(node, prefix=()):
+    """Path of every node of a mapping, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def tab1_mapping():
+    return scenario_to_mapping(tab1_scenario())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_edit_gives_scenario_or_config_error(tab1_mapping, data):
+    mapping = copy.deepcopy(tab1_mapping)
+    path = data.draw(st.sampled_from(list(_paths(mapping))))
+    if not path:
+        mapping = data.draw(_yaml_value)
+    else:
+        parent = mapping
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_yaml_value)
+    try:
+        assert isinstance(scenario_from_mapping(mapping), Scenario)
+    except ConfigError:
+        pass

@@ -173,7 +173,7 @@ def test_deterministic_plans():
         assert first.makespan_s == second.makespan_s
 
 
-def test_uniform_resource_scaling_never_hurts(tab1_tables, fleet):
+def test_uniform_resource_scaling_never_hurts(tab1_tables, fleet, qwen_cfg):
     tables = tab1_tables(1024)
     base = solve(tables).makespan_s
     for alpha in (1.0, 1.25, 2.0, 10.0):
@@ -182,8 +182,7 @@ def test_uniform_resource_scaling_never_hurts(tab1_tables, fleet):
                                       disk_bytes_per_s=dev.disk_bytes_per_s * alpha)
                   for dev in fleet]
         from coldpipe import cost_tables
-        from coldpipe.presets import MODEL_PRESETS
-        profiles = build_profiles(MODEL_PRESETS["qwen3_14b"], 1024)
+        profiles = build_profiles(qwen_cfg, 1024)
         scaled = cost_tables.build(profiles, faster, 1024)
         assert solve(scaled).makespan_s <= base + REL * base
 
@@ -225,6 +224,8 @@ def test_table_shape_and_unreachable_states():
     tables = make_tables(rows, devices)
     table = compute_table(tables)
     assert table.values.shape == (4, 4, 2)
+    # no state ends at boundary 0, so no transition can split there
+    assert np.isinf(table.values[:, 0, :]).all()
     # fewer layers than devices in the subset -> unreachable
     assert not np.isfinite(table.values[0b11, 1, 0])
     # base cases finite for every j on each single-device mask

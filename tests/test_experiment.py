@@ -7,7 +7,6 @@ from coldpipe.errors import InfeasibleError
 from coldpipe.experiment import (Scenario, SuiteInstance, average_improvement_pct,
                                  random_instance_suite, run_sweep,
                                  verify_suite)
-from coldpipe.presets import MODEL_PRESETS
 from conftest import make_device, tab1_scenario
 
 REL = 1e-9
@@ -24,7 +23,7 @@ def test_sweep_row_count():
 def test_single_cell_sweep():
     sc = tab1_scenario()
     small = Scenario(model=sc.model, devices=sc.devices, token_lengths=(2048,),
-                     strategies=("even",), model_name=sc.model_name)
+                     strategies=("even",))
     rows = run_sweep(small)
     assert len(rows) == 1
     assert rows[0].improvement_pct is None
@@ -122,7 +121,7 @@ def test_verify_suite_detects_miscosted_solver():
 def test_verify_suite_detects_mirrored_plan():
     # on two identical devices the mirrored plan has the same makespan, so
     # only the plan check can catch it
-    model = dataclasses.replace(MODEL_PRESETS["qwen3_14b"], num_layers=4)
+    model = dataclasses.replace(tab1_scenario().model, num_layers=4)
     sc = Scenario(model=model, devices=(make_device(0), make_device(1)),
                   token_lengths=(512,), strategies=("optimal_dp", "brute_force"))
 
@@ -138,7 +137,7 @@ def test_verify_suite_detects_mirrored_plan():
 
 
 def test_infeasibility_reports_token_length():
-    model = MODEL_PRESETS["qwen3_14b"]
+    model = tab1_scenario().model
     tiny = (make_device(0, memory=1e6),)
     sc = Scenario(model=model, devices=tiny, token_lengths=(512,),
                   strategies=("optimal_dp",))

@@ -7,14 +7,15 @@ Subcommands:
   verify       solver-vs-oracle check on randomized small instances
   dump-config  write a normalized copy of a config file
 
-Exit codes: 0 ok, 1 usage, 2 config error, 3 infeasible, 4 verification
-failure, 141 stdout closed by its reader.
+Exit codes: 0 ok, 1 usage or unwritable --out, 2 config error, 3 infeasible,
+4 verification failure, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -44,39 +45,56 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.prog + ": error: " + message) from None
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _atomic_write(path: Path, data: str) -> None:
+    """Write through a temp file beside `path`.  On failure the temp file is
+    removed, `path` is left as it was, and the OSError names `path`."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(data)
+        os.replace(tmp, path)
+    except OSError as err:
+        tmp.unlink(missing_ok=True)
+        raise OSError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
-def _device_label(scenario, index: int) -> str:
-    return f"Device {scenario.devices[index].id}"
+def _device_labels(scenario) -> list[str]:
+    return [f"Device {dev.id}" for dev in scenario.devices]
 
 
-def _print_memory_diagnostic(scenario, tables) -> None:
+def _print_memory_diagnostic(labels, tables) -> None:
     print("per-device memory headroom:", file=sys.stderr)
-    for d, dev in enumerate(scenario.devices):
+    for d, (label, dev) in enumerate(zip(labels, tables.devices)):
         hostable = tables.max_hostable_layers(d)
-        print(f"  Device {dev.id}: {dev.memory_bytes / 1e9:.2f} GB holds at "
+        print(f"  {label}: {dev.memory_bytes / 1e9:.2f} GB holds at "
               f"most {hostable} of {tables.num_layers} layers", file=sys.stderr)
 
 
-def _print_timeline(scenario, timeline: Timeline) -> None:
+def _print_timeline(labels, timeline: Timeline) -> None:
     header = (f"{'stage':>5}  {'device':>8}  {'layers':>9}  {'load_s':>10}  "
               f"{'comm_s':>10}  {'comp_s':>10}  {'start_s':>10}  "
               f"{'finish_s':>10}  {'wait_s':>10}")
     print(header)
     for n, s in enumerate(timeline.stages, start=1):
         layers = f"{s.start_layer}-{s.end_layer}"
-        print(f"{n:>5}  {_device_label(scenario, s.device):>8}  {layers:>9}  "
+        print(f"{n:>5}  {labels[s.device]:>8}  {layers:>9}  "
               f"{s.load_s:>10.6f}  {s.comm_s:>10.6f}  {s.comp_s:>10.6f}  "
               f"{s.start_s:>10.6f}  {s.finish_s:>10.6f}  {s.wait_s:>10.6f}")
     print(f"makespan: {timeline.makespan_s:.6f} s")
@@ -87,14 +105,15 @@ def _print_timeline(scenario, timeline: Timeline) -> None:
 def cmd_solve(args) -> int:
     scenario = config.load_scenario(args.config)
     tables = experiment.build_tables(scenario, args.tokens)
+    labels = _device_labels(scenario)
     try:
         timeline = experiment.run_cell(args.strategy, tables)
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
-        _print_memory_diagnostic(scenario, tables)
+        _print_memory_diagnostic(labels, tables)
         return EXIT_INFEASIBLE
     print(f"token length {args.tokens}, strategy {args.strategy}")
-    _print_timeline(scenario, timeline)
+    _print_timeline(labels, timeline)
     if args.out:
         payload = {
             "token_length": args.tokens,
@@ -105,7 +124,7 @@ def cmd_solve(args) -> int:
                  "start_layer": s.start_layer, "end_layer": s.end_layer}
                 for s in timeline.stages
             ],
-            "timeline": timeline.to_dict(),
+            "timeline": dataclasses.asdict(timeline),
         }
         _atomic_write(Path(args.out), json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.out}")
@@ -147,7 +166,7 @@ def cmd_gantt(args) -> int:
     scenario = config.load_scenario(args.config)
     timeline = experiment.run_cell(
         args.strategy, experiment.build_tables(scenario, args.tokens))
-    labels = [f"Device {dev.id}" for dev in scenario.devices]
+    labels = _device_labels(scenario)
     title = f"{args.strategy} @ {args.tokens} tokens"
     if args.format == "svg":
         rendered = render_svg(timeline, labels, title=title)
@@ -191,7 +210,7 @@ def build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="plan one cell and print the schedule")
     solve.add_argument("--config", required=True)
-    solve.add_argument("--tokens", type=int, required=True)
+    solve.add_argument("--tokens", type=_positive_int, required=True)
     solve.add_argument("--strategy", default="optimal_dp",
                        choices=baselines.STRATEGIES)
     solve.add_argument("--out", help="also write plan + timeline as JSON")
@@ -204,7 +223,7 @@ def build_parser() -> _Parser:
 
     gantt = sub.add_parser("gantt", help="render one cell as a Gantt chart")
     gantt.add_argument("--config", required=True)
-    gantt.add_argument("--tokens", type=int, required=True)
+    gantt.add_argument("--tokens", type=_positive_int, required=True)
     gantt.add_argument("--strategy", default="optimal_dp",
                        choices=baselines.STRATEGIES)
     gantt.add_argument("--format", default="svg", choices=("svg", "ascii"))
@@ -214,7 +233,7 @@ def build_parser() -> _Parser:
     verify = sub.add_parser("verify",
                             help="check the solver against the brute-force oracle")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--count", type=int, default=100)
+    verify.add_argument("--count", type=_positive_int, default=100)
     verify.set_defaults(func=cmd_verify)
 
     dump = sub.add_parser("dump-config", help="write a normalized config")
@@ -229,17 +248,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as err:
-        if isinstance(err.code, str):
-            print(err.code, file=sys.stderr)
-            return EXIT_USAGE
-        return EXIT_USAGE if err.code else EXIT_OK
-    if getattr(args, "tokens", 1) < 1:
-        print("error: --tokens must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "count", 1) < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as err:  # usage errors and --help
+        return err.code
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -248,6 +258,9 @@ def main(argv=None) -> int:
         # Point stdout at devnull so the interpreter's final flush is silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except OSError as err:  # an unwritable --out
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except (ConfigError, DegenerateScenarioError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

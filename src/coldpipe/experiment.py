@@ -63,9 +63,12 @@ class ResultRow:
 
     token_length: int
     strategy: str
-    makespan_s: float
     improvement_pct: float | None  # set only on optimal_dp rows
     timeline: Timeline
+
+    @property
+    def makespan_s(self) -> float:
+        return self.timeline.makespan_s
 
 
 def build_tables(scenario: Scenario, t: int) -> cost_tables.CostTables:
@@ -109,7 +112,6 @@ def _run_token_length(scenario: Scenario, t: int) -> list[ResultRow]:
         rows.append(ResultRow(
             token_length=t,
             strategy=strategy,
-            makespan_s=tl.makespan_s,
             improvement_pct=improvement,
             timeline=tl,
         ))

@@ -1,23 +1,26 @@
 """Gantt renderers for evaluated timelines (SVG and fixed-width ASCII).
 
-One row per pipeline stage, in pipeline order.  Three solid bar kinds
-(load, comm, comp) plus a hatched gap for obstructive waits (device loaded,
-input not yet arrived).  Both renderers are deterministic string builders.
+One row per pipeline stage, in pipeline order, drawn from its
+`StageTiming.phases`: three solid bar kinds (load, comm, comp) plus a
+hatched gap for obstructive waits (device loaded, input not yet arrived).
+Both renderers are deterministic string builders.
 """
 
 from __future__ import annotations
 
 import math
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .timeline import Timeline
 
-COLORS = {
+FILLS = {
     "load": "#4C72B0",
+    "wait": "url(#wait)",
     "comm": "#DD8452",
     "comp": "#55A868",
 }
+_LEGEND = (("load", "load"), ("comm", "comm"), ("comp", "compute"), ("wait", "wait"))
 
 _ROW_H = 34
 _BAR_H = 20
@@ -60,7 +63,7 @@ def render_svg(timeline: Timeline, device_labels: Sequence[str],
         '</pattern></defs>',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{_LEFT}" y="24" font-size="15" font-weight="bold">'
-        f'{escape(title)}</text>',
+        f'{escape(title, quote=False)}</text>',
         f'<text x="{_LEFT}" y="42" font-size="12" fill="#444444">'
         f'total T = {total:.4f} s</text>',
     ]
@@ -77,13 +80,10 @@ def render_svg(timeline: Timeline, device_labels: Sequence[str],
         y = _TOP + row * _ROW_H
         label = (f"{device_labels[stage.device]}  "
                  f"L{stage.start_layer}-{stage.end_layer}")
-        parts.append(f'<text x="{_LEFT - 8}" y="{y + _BAR_H - 5}" '
-                     f'font-size="11" text-anchor="end">{escape(label)}</text>')
-        bar(x(0.0), x(stage.load_s), y, COLORS["load"])
-        if stage.wait_s > 0:
-            bar(x(stage.load_s), x(stage.start_s), y, "url(#wait)")
-        bar(x(stage.start_s), x(stage.start_s + stage.comm_s), y, COLORS["comm"])
-        bar(x(stage.start_s + stage.comm_s), x(stage.finish_s), y, COLORS["comp"])
+        parts.append(f'<text x="{_LEFT - 8}" y="{y + _BAR_H - 5}" font-size="11" '
+                     f'text-anchor="end">{escape(label, quote=False)}</text>')
+        for kind, t0, t1 in stage.phases:
+            bar(x(t0), x(t1), y, FILLS[kind])
 
     axis_y = _TOP + _ROW_H * len(timeline.stages) + 8
     parts.append(f'<line x1="{_LEFT}" y1="{axis_y}" x2="{_LEFT + _CHART_W}" '
@@ -100,17 +100,12 @@ def render_svg(timeline: Timeline, device_labels: Sequence[str],
     parts.append(f'<text x="{_LEFT + _CHART_W / 2:.2f}" y="{axis_y + 34}" '
                  'font-size="11" text-anchor="middle">time (s)</text>')
 
-    legend = [("load", "load"), ("comm", "comm"), ("comp", "compute")]
-    lx = _LEFT
     ly = axis_y + 44
-    for key, text in legend:
+    for n, (kind, text) in enumerate(_LEGEND):
+        lx = _LEFT + 90 * n
         parts.append(f'<rect x="{lx}" y="{ly - 10}" width="14" height="10" '
-                     f'fill="{COLORS[key]}" stroke="#333333" stroke-width="0.5"/>')
+                     f'fill="{FILLS[kind]}" stroke="#333333" stroke-width="0.5"/>')
         parts.append(f'<text x="{lx + 18}" y="{ly}" font-size="11">{text}</text>')
-        lx += 90
-    parts.append(f'<rect x="{lx}" y="{ly - 10}" width="14" height="10" '
-                 'fill="url(#wait)" stroke="#333333" stroke-width="0.5"/>')
-    parts.append(f'<text x="{lx + 18}" y="{ly}" font-size="11">wait</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -119,6 +114,7 @@ def render_svg(timeline: Timeline, device_labels: Sequence[str],
 ASCII_WIDTH = 80
 _ASCII_LABEL = 16
 _ASCII_BARS = ASCII_WIDTH - _ASCII_LABEL - 2
+_GLYPHS = {"load": "=", "wait": ".", "comm": "~", "comp": "#"}
 
 
 def render_ascii(timeline: Timeline, device_labels: Sequence[str],
@@ -133,18 +129,12 @@ def render_ascii(timeline: Timeline, device_labels: Sequence[str],
     lines = [f"{title}  (T = {total:.4f} s)"]
     for stage in timeline.stages:
         row = [" "] * _ASCII_BARS
-        spans = [
-            (0.0, stage.load_s, "="),
-            (stage.load_s, stage.start_s, "."),
-            (stage.start_s, stage.start_s + stage.comm_s, "~"),
-            (stage.start_s + stage.comm_s, stage.finish_s, "#"),
-        ]
-        for t0, t1, ch in spans:
+        for kind, t0, t1 in stage.phases:
             c0, c1 = col(t0), col(t1)
             if t1 > t0 and c1 == c0 and c1 < _ASCII_BARS:
                 c1 += 1  # keep sub-column phases visible
             for c in range(c0, c1):
-                row[c] = ch
+                row[c] = _GLYPHS[kind]
         label = (f"{device_labels[stage.device]} "
                  f"L{stage.start_layer}-{stage.end_layer}")[:_ASCII_LABEL - 1]
         lines.append(f"{label:<{_ASCII_LABEL}}|{''.join(row)}|")

@@ -28,20 +28,29 @@ class StageTiming:
     device: int
     start_layer: int
     end_layer: int
-    load_s: float   # disk read, interval [0, load_s]
-    comm_s: float   # activation transfer in, [start_s, start_s + comm_s]
-    comp_s: float   # forward compute, [start_s + comm_s, finish_s]
+    load_s: float   # disk read
+    comm_s: float   # activation transfer in
+    comp_s: float   # forward compute
     start_s: float
     finish_s: float
     wait_s: float   # idle between load completion and upstream finish
 
+    @property
+    def phases(self) -> tuple[tuple[str, float, float], ...]:
+        """(kind, start, end) of the load, wait, comm and comp intervals,
+        in that order; the Gantt renderers draw exactly these."""
+        comm_end = self.start_s + self.comm_s
+        return (("load", 0.0, self.load_s), ("wait", self.load_s, self.start_s),
+                ("comm", self.start_s, comm_end), ("comp", comm_end, self.finish_s))
+
 
 @dataclass(frozen=True)
 class Timeline:
-    """Per-stage schedule plus the overall makespan."""
+    """Per-stage schedule plus the overall makespan.  `solve --out` writes
+    `dataclasses.asdict` of it, so field order is the JSON key order."""
 
-    stages: tuple[StageTiming, ...]
     makespan_s: float
+    stages: tuple[StageTiming, ...]
 
     @property
     def total_load_s(self) -> float:
@@ -58,27 +67,6 @@ class Timeline:
     @property
     def total_wait_s(self) -> float:
         return sum(s.wait_s for s in self.stages)
-
-    def to_dict(self) -> dict:
-        """Plain-data form written by `solve --out`; the Gantt renderers
-        take the Timeline itself."""
-        return {
-            "makespan_s": self.makespan_s,
-            "stages": [
-                {
-                    "device": s.device,
-                    "start_layer": s.start_layer,
-                    "end_layer": s.end_layer,
-                    "load_s": s.load_s,
-                    "comm_s": s.comm_s,
-                    "comp_s": s.comp_s,
-                    "start_s": s.start_s,
-                    "finish_s": s.finish_s,
-                    "wait_s": s.wait_s,
-                }
-                for s in self.stages
-            ],
-        }
 
 
 def tie_key(timeline: Timeline) -> tuple:
@@ -119,4 +107,4 @@ def evaluate(plan: Plan, tables: CostTables, check_memory: bool = True) -> Timel
         ))
         finish_prev = finish
         prev_device = d
-    return Timeline(stages=tuple(stages), makespan_s=float(finish_prev))
+    return Timeline(makespan_s=float(finish_prev), stages=tuple(stages))

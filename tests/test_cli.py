@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -313,3 +314,54 @@ def test_sweep_with_brute_force_strategy(tmp_path, capsys):
     for t in ("128", "1024"):
         assert makespans[(t, "optimal_dp")] == makespans[(t, "brute_force")]
         assert makespans[(t, "optimal_dp")] <= makespans[(t, "even")]
+
+
+# sha256 of the output bytes at t=8192, recorded before the Gantt renderers
+# and `solve --out` were moved onto `StageTiming.phases` and
+# `dataclasses.asdict`: (gantt svg, gantt ascii, solve --out JSON).
+PINNED_8192 = {
+    "optimal_dp": (
+        "c606480ee037d4c87cb985c8d73b1f8cad2ebe121e2eec1e0c7397a3ecea9240",
+        "2cf95f38c327a13b205925bfc98c78fcb1fa3cb40f00fd1081513d7d45f73982",
+        "146b429432ce5d7315fa09a53c044f8b089838ef877648da8521ca76d811e505"),
+    "even": (
+        "9c833fed676637186d662449841bae6bc50a23686420d376b63914d96a7fedfd",
+        "e996929b2a7eb2cd21fc691ee2b68b74a7cd074eebbede67128a2fc473e6f23a",
+        "abff6960bd6d7063ff82ac9aa03244ac374bbbdcfdf176beee9e97741acd8c26"),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(PINNED_8192))
+def test_output_bytes_pinned(tmp_path, capsys, strategy):
+    cell = ["--config", CONFIG, "--tokens", "8192", "--strategy", strategy]
+    svg, js = tmp_path / "chart.svg", tmp_path / "plan.json"
+    assert run(["gantt", *cell, "--format", "svg", "--out", str(svg)], capsys)[0] == 0
+    code, ascii_chart, _ = run(["gantt", *cell, "--format", "ascii"], capsys)
+    assert code == 0
+    assert run(["solve", *cell, "--out", str(js)], capsys)[0] == 0
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in
+                    (svg.read_bytes(), ascii_chart.encode(), js.read_bytes()))
+    assert digests == PINNED_8192[strategy]
+
+
+UNWRITABLE_OUT = {
+    "solve": ["solve", "--config", CONFIG, "--tokens", "256"],
+    "sweep": ["sweep", "--config", CONFIG],
+    "gantt": ["gantt", "--config", CONFIG, "--tokens", "256"],
+    "dump-config": ["dump-config", "--config", CONFIG],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUT))
+def test_unwritable_out_is_one_line_error(tmp_path, capsys, command, target):
+    out = tmp_path / "out"
+    if target == "directory":
+        out.mkdir()
+    else:
+        out = out / "missing" / "x.out"
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = run([*UNWRITABLE_OUT[command], "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before  # no temp file left behind

@@ -231,3 +231,56 @@ def test_table_shape_and_unreachable_states():
     # base cases finite for every j on each single-device mask
     assert np.isfinite(table.values[0b01, 1:, 0]).all()
     assert np.isfinite(table.values[0b10, 1:, 1]).all()
+
+
+# Metamorphic relations at the benchmark's scale (K=8, L=60), where the
+# brute-force oracle cannot reach.  Each must hold exactly, bit for bit.
+
+def _metamorphic_fleet(seed, num_devices=9):
+    """Seeded devices (peak, ceiling, util rate, disk, memory, radio all
+    drawn) over 60 identical layers; memory binds for most devices."""
+    rng = np.random.default_rng(seed)
+    workload, activation, params = 4e11, 2e7, 5e8
+    devices = [
+        make_device(k, peak=rng.uniform(5e12, 5e13), ceiling=rng.uniform(0.3, 0.9),
+                    rate=rng.uniform(1e-4, 2e-3), disk=rng.uniform(2e8, 3e9),
+                    memory=params * rng.integers(12, 61) + activation,
+                    up_dbm=rng.uniform(14.0, 22.0), dist=rng.uniform(1.0, 10.0))
+        for k in range(num_devices)]
+    return [(workload, activation, params)] * 60, devices
+
+
+@pytest.fixture(scope="module", params=[0, 1, 2])
+def k8_fleet(request):
+    """(seed, layers, nine devices, tables and optimum of the first eight)."""
+    layers, devices = _metamorphic_fleet(request.param)
+    tables = make_tables(layers, devices[:8])
+    return request.param, layers, devices, tables, solve(tables)
+
+
+def test_doubling_costs_doubles_makespan(k8_fleet):
+    _, _, _, tables, base = k8_fleet
+    doubled = dataclasses.replace(tables, load_s=tables.load_s * 2,
+                                  comp_s=tables.comp_s * 2,
+                                  comm_s=tables.comm_s * 2)
+    result = solve(doubled)
+    assert result.makespan_s == 2 * base.makespan_s
+    assert result.plan == base.plan
+
+
+def test_device_permutation_keeps_makespan(k8_fleet):
+    seed, layers, devices, _, base = k8_fleet
+    order = np.random.default_rng(seed).permutation(8)
+    permuted = make_tables(layers, [devices[k] for k in order])
+    assert solve(permuted).makespan_s == base.makespan_s
+
+
+def test_added_device_never_raises_optimum(k8_fleet):
+    _, layers, devices, _, base = k8_fleet
+    assert solve(make_tables(layers, devices)).makespan_s <= base.makespan_s
+
+
+def test_optimum_replays_exactly(k8_fleet):
+    # the table and the timeline add the same terms in the same order
+    _, _, _, tables, base = k8_fleet
+    assert evaluate(base.plan, tables).makespan_s == base.makespan_s

@@ -7,8 +7,8 @@ Subcommands:
   verify       solver-vs-oracle check on randomized small instances
   dump-config  write a normalized copy of a config file
 
-Exit codes: 0 ok, 1 usage or unwritable --out, 2 config error, 3 infeasible,
-4 verification failure, 141 stdout closed by its reader.
+Exit codes: 0 ok, 1 usage, unwritable --out or DP tables past the byte limit,
+2 config error, 3 infeasible, 4 verification failure, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -60,14 +60,18 @@ def _positive_int(text: str) -> int:
 
 
 def _atomic_write(path: Path, data: str) -> None:
-    """Write through a temp file beside `path`.  On failure the temp file is
-    removed, `path` is left as it was, and the OSError names `path`."""
-    tmp = path.with_name(path.name + ".tmp")
+    """Write through a new, uniquely named temp file beside `path`; on failure
+    it is removed, `path` is left as it was, and the OSError names `path`."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = -1
     try:
-        tmp.write_text(data)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with open(fd, "w") as out:
+            out.write(data)
         os.replace(tmp, path)
     except OSError as err:
-        tmp.unlink(missing_ok=True)
+        if fd >= 0:
+            tmp.unlink(missing_ok=True)
         raise OSError(f"cannot write {path}: {err.strerror}") from None
 
 

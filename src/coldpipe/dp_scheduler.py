@@ -1,18 +1,19 @@
 """Exact cold-start makespan minimization over layer partitions and device
 assignments.
 
-State space: (S, j, d) = minimum completion time after scheduling layers
-1..j with the device subset S, the segment ending at layer j running on
-device d in S.  Subsets are bitmasks, so masks are processed in increasing
-numeric order (every proper subset precedes its superset) and the whole
-j-column for one (S, d) pair is computed in a single vectorized step.
+State space: (T, j, d) = minimum completion time after scheduling layers
+1..j, the segment ending at layer j running on device d and the earlier
+segments on the device subset T, d not in T.  T = 0 holds the one-stage
+plans.  Subsets are bitmasks, so predecessor sets are processed in
+increasing numeric order (T minus any device precedes T) and the whole
+(d, j) block for one T is computed in a single vectorized step.
 
 Ties break by one key, `timeline.tie_key`, which the brute-force oracle
 uses too: (makespan, stage count, device mask, then (device, finish time,
 start layer) for each stage from the last).  The final pick orders equal
-makespans by (number of devices, mask, device).  Each (S, d) transition
-takes one argmin over a candidate block whose flattened rows run over
-(split i, predecessor device), both ascending.  argmin returns the first
+makespans by (number of devices, mask T | {d}, device).  Each (T, d, j)
+transition takes one argmin over candidates whose flattened rows run over
+(split i, predecessor device p), both ascending.  argmin returns the first
 minimum, so the array order is the key's order: finish time, then the
 stage's start layer i+1, then the device of the stage before it.  A
 predecessor state holds the smallest finish time of its prefix, which is
@@ -28,7 +29,7 @@ import numpy as np
 from .cost_tables import CostTables
 from .errors import InfeasibleError, PlanError
 
-MAX_DEVICES = 24  # 2**K state tables; beyond this the instance is refused
+MAX_TABLE_BYTES = 2**32  # larger state tables are refused before allocation
 
 
 @dataclass(frozen=True)
@@ -96,22 +97,24 @@ def validate_plan(plan: Plan, tables: CostTables, check_memory: bool = True) -> 
                     f"{tables.memory_bytes[stage.device]:.3e} B")
 
 
-def state_count(num_devices: int, num_layers: int) -> int:
-    """Size of the state table, K * L * 2**K; refuses oversized fleets."""
+def table_bytes(num_devices: int, num_layers: int) -> int:
+    """Bytes of the three (2**K, L+1, K) tables compute_table allocates, one
+    float64 and two int32; refuses fleets past MAX_TABLE_BYTES."""
     if num_devices < 1 or num_layers < 1:
         raise ValueError("need at least one device and one layer")
-    if num_devices > MAX_DEVICES:
+    need = (1 << num_devices) * (num_layers + 1) * num_devices * (8 + 4 + 4)
+    if need > MAX_TABLE_BYTES:
         raise ValueError(
-            f"{num_devices} devices would need {num_devices} * L * 2**{num_devices} "
-            f"states; the solver is limited to {MAX_DEVICES} devices")
-    return num_devices * num_layers * (1 << num_devices)
+            f"{num_devices} devices and {num_layers} layers need {need:,} bytes of "
+            f"DP tables, over the limit of {MAX_TABLE_BYTES:,} bytes")
+    return need
 
 
 @dataclass
 class DpTable:
     """Solved state table plus back-pointers for plan reconstruction."""
 
-    values: np.ndarray       # (2**K, L+1, K) completion times, +inf if unreachable
+    values: np.ndarray       # (2**K, L+1, K) at (T, j, d); +inf if unreachable or d in T
     split: np.ndarray        # (2**K, L+1, K) final-segment boundary i (0 = base)
     prev_device: np.ndarray  # (2**K, L+1, K) predecessor device (-1 = base)
     num_layers: int
@@ -125,58 +128,49 @@ class SolveResult:
 
 
 def compute_table(tables: CostTables) -> DpTable:
-    """Fill the full (S, j, d) table bottom-up."""
-    L = tables.num_layers
-    K = tables.num_devices
-    state_count(K, L)  # enforces the fleet-size guard
+    """Fill the full (T, j, d) table bottom-up."""
+    L, K = tables.num_layers, tables.num_devices
+    table_bytes(K, L)  # refuses an oversized fleet before any allocation
 
-    load_s, comp_s, comm_s = tables.load_s, tables.comp_s, tables.comm_s
     # Infeasible segments cost +inf.
-    comp_or_inf = np.where(tables.fits, comp_s, np.inf)
+    comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
 
     n_masks = 1 << K
     values = np.full((n_masks, L + 1, K), np.inf)
     split = np.full((n_masks, L + 1, K), -1, dtype=np.int32)
     prev_device = np.full((n_masks, L + 1, K), -1, dtype=np.int32)
 
-    # Base cases: a single segment 1..j on device d, no communication.
-    for d in range(K):
-        mask = 1 << d
-        base = load_s[d, 0, :] + comp_s[d, 0, :]
-        feasible = tables.fits[d, 0, :]
-        values[mask, feasible, d] = base[feasible]
-        split[mask, feasible, d] = 0
-        # prev_device stays -1: the base marker
+    # T = 0: a single segment 1..j on device d, no communication;
+    # prev_device stays -1, the base marker.
+    values[0] = (tables.load_s[:, 0, :] + comp_or_inf[:, 0, :]).T
+    split[0][values[0] < np.inf] = 0
 
-    # One candidate block per (S, d), rows (split i, predecessor), columns j.
-    block = np.empty((L + 1) * (K - 1) * (L + 1))
-    cols = np.arange(L + 1)
-    for s_mask in range(1, n_masks):
-        members = [d for d in range(K) if (s_mask >> d) & 1]
-        if len(members) < 2:
-            continue
-        for d in members:
-            preds = [p for p in members if p != d]
-            n = len(preds)
-            prev = values[s_mask ^ (1 << d)][:, preds]  # (i, pred)
-            cand = block[:(L + 1) * n * (L + 1)].reshape(L + 1, n, L + 1)
-            np.maximum(load_s[d][:, None, :], prev[:, :, None], out=cand)
-            cand += comm_s[preds, d].T[:, :, None]
-            cand += comp_or_inf[d][:, None, :]
-            rows = cand.reshape((L + 1) * n, L + 1)
-            best = np.argmin(rows, axis=0)
-            vals = rows[best, cols]
-            reached = vals < np.inf
-            values[s_mask, reached, d] = vals[reached]
-            split[s_mask, reached, d] = best[reached] // n
-            prev_device[s_mask, reached, d] = np.asarray(preds)[best[reached] % n]
+    # One candidate block per T, (next device d, split i, predecessor p, j).
+    block = np.empty(K * K // 4 * (L + 1) ** 2)  # room for the largest |T| * (K - |T|)
+    for t_mask in range(1, n_masks - 1):
+        preds = np.array([p for p in range(K) if (t_mask >> p) & 1])
+        nexts = np.array([d for d in range(K) if not (t_mask >> d) & 1])
+        n, m = len(preds), len(nexts)
+        prev = values[t_mask ^ (1 << preds), :, preds].T  # (i, p)
+        cand = block[:m * (L + 1) * n * (L + 1)].reshape(m, L + 1, n, L + 1)
+        np.maximum(tables.load_s[nexts][:, :, None, :], prev[:, :, None], out=cand)
+        cand += tables.comm_s[np.ix_(preds, nexts)].transpose(1, 2, 0)[..., None]
+        cand += comp_or_inf[nexts][:, :, None, :]
+        rows = cand.reshape(m, (L + 1) * n, L + 1)
+        best = rows.argmin(axis=1)  # (d, j)
+        vals = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
+        reached = vals < np.inf
+        values[t_mask, :, nexts] = vals
+        split[t_mask, :, nexts] = np.where(reached, best // n, -1)
+        prev_device[t_mask, :, nexts] = np.where(reached, preds[best % n], -1)
 
     return DpTable(values=values, split=split, prev_device=prev_device,
                    num_layers=L, num_devices=K)
 
 
 def best_final_state(table: DpTable) -> tuple[float, int, int]:
-    """Minimum over all (S, d) of the full-model completion time.
+    """Minimum over all (T, d) of the full-model completion time, returned
+    with the mask of every device used, T | {d}.
 
     Ties prefer fewer devices, then the smaller mask, then the smaller
     device index.  Raises InfeasibleError if every state is unreachable.
@@ -186,31 +180,32 @@ def best_final_state(table: DpTable) -> tuple[float, int, int]:
     if not np.isfinite(best):
         raise InfeasibleError(
             "no layer partition satisfies the per-device memory constraints")
-    masks, devs = np.nonzero(finals == best)
+    rests, devs = np.nonzero(finals == best)
+    masks = rests | (1 << devs)
     order = min(range(len(masks)),
                 key=lambda k: (int(masks[k]).bit_count(), masks[k], devs[k]))
     return float(best), int(masks[order]), int(devs[order])
 
 
 def reconstruct(table: DpTable, final_mask: int, final_device: int) -> Plan:
-    """Walk back-pointers from (final_mask, L, final_device) to the base
-    marker, emitting stages in pipeline order."""
-    if not np.isfinite(table.values[final_mask, table.num_layers, final_device]):
+    """Walk back-pointers from the plan on devices final_mask ending on
+    final_device to the base marker, emitting stages in pipeline order."""
+    rest, j, dev = final_mask ^ (1 << final_device), table.num_layers, final_device
+    if not (final_mask >> dev) & 1 or not np.isfinite(table.values[rest, j, dev]):
         raise ValueError("cannot reconstruct from an unreachable state")
     stages: list[PlanStage] = []
-    mask, j, dev = final_mask, table.num_layers, final_device
     for _ in range(table.num_devices + 1):
-        i = int(table.split[mask, j, dev])
-        d_prev = int(table.prev_device[mask, j, dev])
-        if i < 0 or not (mask >> dev) & 1 or i >= j:
-            raise RuntimeError(f"corrupt back-pointer at state ({mask}, {j}, {dev})")
+        i = int(table.split[rest, j, dev])
+        d_prev = int(table.prev_device[rest, j, dev])
+        if i < 0 or (rest >> dev) & 1 or i >= j:
+            raise RuntimeError(f"corrupt back-pointer at state ({rest}, {j}, {dev})")
         stages.append(PlanStage(device=dev, start_layer=i + 1, end_layer=j))
         if i == 0:
-            if d_prev != -1:
-                raise RuntimeError("base state carries a predecessor device")
+            if d_prev != -1 or rest:
+                raise RuntimeError("base state carries predecessors")
             stages.reverse()
             return Plan(stages=tuple(stages))
-        mask, j, dev = mask ^ (1 << dev), i, d_prev
+        rest, j, dev = rest ^ (1 << d_prev), i, d_prev
     raise RuntimeError("back-pointer chain longer than the device count")
 
 

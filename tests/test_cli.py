@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -365,3 +366,43 @@ def test_unwritable_out_is_one_line_error(tmp_path, capsys, command, target):
     assert code == 1
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before  # no temp file left behind
+
+
+def test_existing_tmp_file_survives_out(tmp_path, capsys):
+    out = tmp_path / "out.yaml"
+    bystander = tmp_path / "out.yaml.tmp"
+    bystander.write_bytes(b"user data\n")
+    code, _, _ = run(["dump-config", "--config", CONFIG, "--out", str(out)], capsys)
+    assert code == 0
+    assert bystander.read_bytes() == b"user data\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.yaml", "out.yaml.tmp"]
+    assert out.stat().st_mode & 0o777 == 0o666 & ~_umask()
+
+
+def _umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def test_fleet_over_table_byte_limit_is_one_line_error(tmp_path, capsys):
+    # 25 devices would need about 550 GB of DP tables; the refusal comes
+    # from the size estimate, before any table is allocated
+    text = Path(CONFIG).read_text()
+    head, rest = text.split("devices:\n", 1)
+    device, tail = rest.split("- id: 2\n", 1)[0], rest.split("experiment:", 1)[1]
+    devices = "".join(device.replace("id: 1", f"id: {k}", 1) for k in range(1, 26))
+    cfg = tmp_path / "big.yaml"
+    cfg.write_text(f"{head}devices:\n{devices}experiment:{tail}")
+    tracemalloc.start()
+    try:
+        code, out, err = run(["solve", "--config", str(cfg), "--tokens", "256",
+                              "--strategy", "optimal_dp"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: 25 devices and 40 layers need ") and err.count("\n") == 1
+    assert "over the limit of 4,294,967,296 bytes" in err
+    assert peak < 50e6

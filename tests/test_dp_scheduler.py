@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 
 from coldpipe.baselines import brute_force
-from coldpipe.dp_scheduler import (Plan, PlanStage, best_final_state,
-                                   compute_table, reconstruct, solve,
-                                   state_count, validate_plan)
+from coldpipe.dp_scheduler import (MAX_TABLE_BYTES, Plan, PlanStage,
+                                   best_final_state, compute_table, reconstruct,
+                                   solve, table_bytes, validate_plan)
 from coldpipe.errors import InfeasibleError
 from coldpipe.experiment import random_instance_suite
 from coldpipe.model_profile import build_profiles
@@ -33,13 +33,18 @@ def make_tables_from_scenario(sc, t):
     return cost_tables.build(build_profiles(sc.model, t), list(sc.devices), t)
 
 
-def test_state_count():
-    assert state_count(4, 40) == 2560
-    assert state_count(10, 60) == 614_400
+def test_table_bytes_estimate():
+    # float64 values plus two int32 back-pointer tables, (2**K, L+1, K) each
+    assert table_bytes(4, 40) == 16 * 41 * 4 * 16
+    assert table_bytes(10, 60) == 1024 * 61 * 10 * 16
+    # the byte limit admits K <= 17 at L=60 and K <= 18 at L=40
+    assert table_bytes(17, 60) <= MAX_TABLE_BYTES
+    assert table_bytes(18, 40) <= MAX_TABLE_BYTES
+    for num_devices, num_layers in ((18, 60), (19, 40), (25, 10)):
+        with pytest.raises(ValueError, match=f"{MAX_TABLE_BYTES:,} bytes"):
+            table_bytes(num_devices, num_layers)
     with pytest.raises(ValueError):
-        state_count(25, 10)
-    with pytest.raises(ValueError):
-        state_count(0, 10)
+        table_bytes(0, 10)
 
 
 def test_single_device_base_case():
@@ -223,14 +228,20 @@ def test_table_shape_and_unreachable_states():
     devices = [make_device(0), make_device(1)]
     tables = make_tables(rows, devices)
     table = compute_table(tables)
-    assert table.values.shape == (4, 4, 2)
+    # states (T, j, d): T holds the devices before the last stage's d
+    for array in (table.values, table.split, table.prev_device):
+        assert array.shape == (4, 4, 2)
     # no state ends at boundary 0, so no transition can split there
     assert np.isinf(table.values[:, 0, :]).all()
-    # fewer layers than devices in the subset -> unreachable
-    assert not np.isfinite(table.values[0b11, 1, 0])
-    # base cases finite for every j on each single-device mask
-    assert np.isfinite(table.values[0b01, 1:, 0]).all()
-    assert np.isfinite(table.values[0b10, 1:, 1]).all()
+    # fewer layers than devices used -> unreachable
+    assert not np.isfinite(table.values[0b10, 1, 0])
+    # one-stage plans (T = 0) finite for every j on each device
+    assert np.isfinite(table.values[0, 1:, :]).all()
+    assert (table.split[0, 1:, :] == 0).all() and (table.prev_device[0] == -1).all()
+    # the last device is never among the earlier ones
+    assert np.isinf(table.values[0b01, :, 0]).all()
+    assert np.isinf(table.values[0b10, :, 1]).all()
+    assert np.isinf(table.values[0b11]).all()
 
 
 # Metamorphic relations at the benchmark's scale (K=8, L=60), where the
@@ -284,3 +295,32 @@ def test_optimum_replays_exactly(k8_fleet):
     # the table and the timeline add the same terms in the same order
     _, _, _, tables, base = k8_fleet
     assert evaluate(base.plan, tables).makespan_s == base.makespan_s
+
+
+def test_unused_device_deletion_keeps_plan(k8_fleet):
+    _, layers, devices, _, base = k8_fleet
+    unused = min(set(range(8)) - set(base.plan.devices))
+    result = solve(make_tables(layers, devices[:unused] + devices[unused + 1:8]))
+    assert result.makespan_s == base.makespan_s
+    reindexed = tuple(dataclasses.replace(s, device=s.device - (s.device > unused))
+                      for s in base.plan.stages)
+    assert result.plan == Plan(stages=reindexed)
+
+
+def test_more_memory_never_raises_optimum(k8_fleet):
+    _, layers, devices, _, base = k8_fleet
+    for d in base.plan.devices:
+        roomier = list(devices[:8])
+        roomier[d] = dataclasses.replace(roomier[d], memory_bytes=2 * roomier[d].memory_bytes)
+        assert solve(make_tables(layers, roomier)).makespan_s <= base.makespan_s
+
+
+@pytest.mark.parametrize("layers_per_device", [8, 12, 20, 61])
+def test_identical_devices_run_in_descending_order(layers_per_device):
+    # every plan ties with its mirror images; the tie key takes the smallest
+    # mask, then the smallest device from the last stage back
+    workload, activation, params = 4e11, 2e7, 5e8
+    devices = [make_device(k, memory=params * layers_per_device + activation)
+               for k in range(8)]
+    plan = solve(make_tables([(workload, activation, params)] * 60, devices)).plan
+    assert plan.devices == tuple(range(len(plan.stages) - 1, -1, -1))

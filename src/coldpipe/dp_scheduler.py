@@ -8,6 +8,12 @@ plans.  Subsets are bitmasks, so predecessor sets are processed in
 increasing numeric order (T minus any device precedes T) and the whole
 (d, j) block for one T is computed in a single vectorized step.
 
+Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
+d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
+back-pointers take the narrowest signed integer type that holds both the
+largest split, L-1, and the largest device index, K-1 (`pointer_dtype`);
+-1 marks the base.
+
 Ties break by one key, `timeline.tie_key`, which the brute-force oracle
 uses too: (makespan, stage count, device mask, then (device, finish time,
 start layer) for each stage from the last).  The final pick orders equal
@@ -97,12 +103,22 @@ def validate_plan(plan: Plan, tables: CostTables, check_memory: bool = True) -> 
                     f"{tables.memory_bytes[stage.device]:.3e} B")
 
 
+def pointer_dtype(num_devices: int, num_layers: int) -> np.dtype:
+    """Narrowest signed integer type of the back-pointers: splits run to L-1,
+    devices to K-1, and -1 marks the base."""
+    largest = max(num_layers - 1, num_devices - 1)
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= largest)
+
+
 def table_bytes(num_devices: int, num_layers: int) -> int:
-    """Bytes of the three (2**K, L+1, K) tables compute_table allocates, one
-    float64 and two int32; refuses fleets past MAX_TABLE_BYTES."""
+    """Bytes of the three (2**(K-1), L+1, K) tables compute_table allocates,
+    one float64 and two of `pointer_dtype`; refuses fleets past
+    MAX_TABLE_BYTES.  The limit admits K <= 19 devices at 40 or 60 layers."""
     if num_devices < 1 or num_layers < 1:
         raise ValueError("need at least one device and one layer")
-    need = (1 << num_devices) * (num_layers + 1) * num_devices * (8 + 4 + 4)
+    itemsize = pointer_dtype(num_devices, num_layers).itemsize
+    need = (1 << (num_devices - 1)) * (num_layers + 1) * num_devices * (8 + 2 * itemsize)
     if need > MAX_TABLE_BYTES:
         raise ValueError(
             f"{num_devices} devices and {num_layers} layers need {need:,} bytes of "
@@ -110,13 +126,21 @@ def table_bytes(num_devices: int, num_layers: int) -> int:
     return need
 
 
+def squeeze(mask, device):
+    """Table row of the states (mask, j, device): mask with bit device
+    removed.  Works on ints and on numpy integer arrays."""
+    low = (1 << device) - 1
+    return (mask & low) | ((mask >> 1) & ~low)
+
+
 @dataclass
 class DpTable:
-    """Solved state table plus back-pointers for plan reconstruction."""
+    """Solved state table plus back-pointers for plan reconstruction.  Each
+    array is (2**(K-1), L+1, K), state (T, j, d) at [squeeze(T, d), j, d]."""
 
-    values: np.ndarray       # (2**K, L+1, K) at (T, j, d); +inf if unreachable or d in T
-    split: np.ndarray        # (2**K, L+1, K) final-segment boundary i (0 = base)
-    prev_device: np.ndarray  # (2**K, L+1, K) predecessor device (-1 = base)
+    values: np.ndarray       # float64 completion time; +inf if unreachable
+    split: np.ndarray        # pointer_dtype: final-segment boundary i (0 = base)
+    prev_device: np.ndarray  # pointer_dtype: predecessor device (-1 = base)
     num_layers: int
     num_devices: int
 
@@ -135,23 +159,24 @@ def compute_table(tables: CostTables) -> DpTable:
     # Infeasible segments cost +inf.
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
 
-    n_masks = 1 << K
-    values = np.full((n_masks, L + 1, K), np.inf)
-    split = np.full((n_masks, L + 1, K), -1, dtype=np.int32)
-    prev_device = np.full((n_masks, L + 1, K), -1, dtype=np.int32)
+    shape, pointer = (1 << (K - 1), L + 1, K), pointer_dtype(K, L)
+    values = np.full(shape, np.inf)
+    split = np.full(shape, -1, dtype=pointer)
+    prev_device = np.full(shape, -1, dtype=pointer)
 
-    # T = 0: a single segment 1..j on device d, no communication;
-    # prev_device stays -1, the base marker.
+    # T = 0, row 0 for every d: a single segment 1..j on device d, no
+    # communication; prev_device stays -1, the base marker.
     values[0] = (tables.load_s[:, 0, :] + comp_or_inf[:, 0, :]).T
     split[0][values[0] < np.inf] = 0
 
     # One candidate block per T, (next device d, split i, predecessor p, j).
+    # A predecessor state (T - {p}, i, p) sits at row squeeze(T, p).
     block = np.empty(K * K // 4 * (L + 1) ** 2)  # room for the largest |T| * (K - |T|)
-    for t_mask in range(1, n_masks - 1):
+    for t_mask in range(1, (1 << K) - 1):
         preds = np.array([p for p in range(K) if (t_mask >> p) & 1])
         nexts = np.array([d for d in range(K) if not (t_mask >> d) & 1])
         n, m = len(preds), len(nexts)
-        prev = values[t_mask ^ (1 << preds), :, preds].T  # (i, p)
+        prev = values[squeeze(t_mask, preds), :, preds].T  # (i, p)
         cand = block[:m * (L + 1) * n * (L + 1)].reshape(m, L + 1, n, L + 1)
         np.maximum(tables.load_s[nexts][:, :, None, :], prev[:, :, None], out=cand)
         cand += tables.comm_s[np.ix_(preds, nexts)].transpose(1, 2, 0)[..., None]
@@ -160,9 +185,10 @@ def compute_table(tables: CostTables) -> DpTable:
         best = rows.argmin(axis=1)  # (d, j)
         vals = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
         reached = vals < np.inf
-        values[t_mask, :, nexts] = vals
-        split[t_mask, :, nexts] = np.where(reached, best // n, -1)
-        prev_device[t_mask, :, nexts] = np.where(reached, preds[best % n], -1)
+        out = squeeze(t_mask, nexts)
+        values[out, :, nexts] = vals
+        split[out, :, nexts] = np.where(reached, best // n, -1)
+        prev_device[out, :, nexts] = np.where(reached, preds[best % n], -1)
 
     return DpTable(values=values, split=split, prev_device=prev_device,
                    num_layers=L, num_devices=K)
@@ -180,8 +206,10 @@ def best_final_state(table: DpTable) -> tuple[float, int, int]:
     if not np.isfinite(best):
         raise InfeasibleError(
             "no layer partition satisfies the per-device memory constraints")
-    rests, devs = np.nonzero(finals == best)
-    masks = rests | (1 << devs)
+    rows, devs = np.nonzero(finals == best)
+    # T | {d}: the inverse of squeeze opens a clear bit d in the row; set it
+    low = (1 << devs) - 1
+    masks = (rows & low) | ((rows & ~low) << 1) | (1 << devs)
     order = min(range(len(masks)),
                 key=lambda k: (int(masks[k]).bit_count(), masks[k], devs[k]))
     return float(best), int(masks[order]), int(devs[order])
@@ -191,12 +219,14 @@ def reconstruct(table: DpTable, final_mask: int, final_device: int) -> Plan:
     """Walk back-pointers from the plan on devices final_mask ending on
     final_device to the base marker, emitting stages in pipeline order."""
     rest, j, dev = final_mask ^ (1 << final_device), table.num_layers, final_device
-    if not (final_mask >> dev) & 1 or not np.isfinite(table.values[rest, j, dev]):
+    if (not (final_mask >> dev) & 1
+            or not np.isfinite(table.values[squeeze(rest, dev), j, dev])):
         raise ValueError("cannot reconstruct from an unreachable state")
     stages: list[PlanStage] = []
     for _ in range(table.num_devices + 1):
-        i = int(table.split[rest, j, dev])
-        d_prev = int(table.prev_device[rest, j, dev])
+        row = squeeze(rest, dev)
+        i = int(table.split[row, j, dev])
+        d_prev = int(table.prev_device[row, j, dev])
         if i < 0 or (rest >> dev) & 1 or i >= j:
             raise RuntimeError(f"corrupt back-pointer at state ({rest}, {j}, {dev})")
         stages.append(PlanStage(device=dev, start_layer=i + 1, end_layer=j))

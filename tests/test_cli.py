@@ -386,7 +386,7 @@ def _umask():
 
 
 def test_fleet_over_table_byte_limit_is_one_line_error(tmp_path, capsys):
-    # 25 devices would need about 550 GB of DP tables; the refusal comes
+    # 25 devices would need about 172 GB of DP tables; the refusal comes
     # from the size estimate, before any table is allocated
     text = Path(CONFIG).read_text()
     head, rest = text.split("devices:\n", 1)

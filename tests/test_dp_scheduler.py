@@ -34,17 +34,48 @@ def make_tables_from_scenario(sc, t):
 
 
 def test_table_bytes_estimate():
-    # float64 values plus two int32 back-pointer tables, (2**K, L+1, K) each
-    assert table_bytes(4, 40) == 16 * 41 * 4 * 16
-    assert table_bytes(10, 60) == 1024 * 61 * 10 * 16
-    # the byte limit admits K <= 17 at L=60 and K <= 18 at L=40
-    assert table_bytes(17, 60) <= MAX_TABLE_BYTES
-    assert table_bytes(18, 40) <= MAX_TABLE_BYTES
-    for num_devices, num_layers in ((18, 60), (19, 40), (25, 10)):
-        with pytest.raises(ValueError, match=f"{MAX_TABLE_BYTES:,} bytes"):
+    # float64 values plus two back-pointer tables, (2**(K-1), L+1, K) each;
+    # the back-pointers are int8 up to L = 128 and int16 past it
+    assert table_bytes(4, 40) == 8 * 41 * 4 * (8 + 1 + 1) == 13_120
+    assert table_bytes(10, 60) == 512 * 61 * 10 * (8 + 1 + 1) == 3_123_200
+    assert table_bytes(3, 129) == 4 * 130 * 3 * (8 + 2 + 2) == 18_720
+    # the byte limit admits K <= 19 at L=60 and at L=40
+    assert table_bytes(19, 60) == 3_038_248_960
+    assert table_bytes(19, 40) == 2_042_101_760
+    for num_devices, num_layers, need in ((20, 60, "6,396,313,600"),
+                                          (20, 40, "4,299,161,600"),
+                                          (25, 10, "46,137,344,000")):
+        with pytest.raises(ValueError, match=f"need {need} bytes .* {MAX_TABLE_BYTES:,} bytes"):
             table_bytes(num_devices, num_layers)
     with pytest.raises(ValueError):
         table_bytes(0, 10)
+
+
+@pytest.mark.parametrize("num_devices, num_layers, pointer",
+                         [(1, 1, np.int8), (4, 40, np.int8), (3, 129, np.int16)])
+def test_table_bytes_match_solved_table(num_devices, num_layers, pointer):
+    tables = make_tables([(1e12, 1e6, 5e8)] * num_layers,
+                         [make_device(k) for k in range(num_devices)])
+    table = compute_table(tables)
+    assert table.split.dtype == table.prev_device.dtype == pointer
+    assert table_bytes(num_devices, num_layers) == (
+        table.values.nbytes + table.split.nbytes + table.prev_device.nbytes)
+
+
+@pytest.mark.parametrize("num_layers, pointer", [(128, np.int8), (129, np.int16)])
+def test_last_split_fits_pointer_dtype(num_layers, pointer):
+    # only device 1 holds the heavy last layer and nothing besides it, so the
+    # last stage's split is L-1: 127 is int8's largest value, 128 needs int16
+    light, heavy = (1e12, 1e6, 5e8), (1e12, 1e6, 1e11)
+    devices = [make_device(0, memory=1e11), make_device(1, memory=1e11 + 2e6),
+               make_device(2, memory=1e11, disk=2e9)]
+    tables = make_tables([light] * (num_layers - 1) + [heavy], devices)
+    table = compute_table(tables)
+    assert table.split.dtype == table.prev_device.dtype == pointer
+    makespan, mask, dev = best_final_state(table)
+    plan = reconstruct(table, mask, dev)
+    assert plan.stages[-1] == PlanStage(1, num_layers, num_layers)
+    assert evaluate(plan, tables).makespan_s == makespan
 
 
 def test_single_device_base_case():
@@ -228,20 +259,23 @@ def test_table_shape_and_unreachable_states():
     devices = [make_device(0), make_device(1)]
     tables = make_tables(rows, devices)
     table = compute_table(tables)
-    # states (T, j, d): T holds the devices before the last stage's d
+    # state (T, j, d), T the devices before the last stage's d, sits at row
+    # squeeze(T, d): row 0 holds T = 0, row 1 holds T = {1} for d = 0 and
+    # T = {0} for d = 1
     for array in (table.values, table.split, table.prev_device):
-        assert array.shape == (4, 4, 2)
+        assert array.shape == (2, 4, 2)
+    assert table.split.dtype == table.prev_device.dtype == np.int8
     # no state ends at boundary 0, so no transition can split there
     assert np.isinf(table.values[:, 0, :]).all()
     # fewer layers than devices used -> unreachable
-    assert not np.isfinite(table.values[0b10, 1, 0])
+    assert np.isinf(table.values[1, 1, :]).all()
     # one-stage plans (T = 0) finite for every j on each device
     assert np.isfinite(table.values[0, 1:, :]).all()
     assert (table.split[0, 1:, :] == 0).all() and (table.prev_device[0] == -1).all()
-    # the last device is never among the earlier ones
-    assert np.isinf(table.values[0b01, :, 0]).all()
-    assert np.isinf(table.values[0b10, :, 1]).all()
-    assert np.isinf(table.values[0b11]).all()
+    # every other cell is a two-stage state, reached from the other device
+    assert np.isfinite(table.values[1, 2:, :]).all()
+    assert (table.prev_device[1, 2:, 0] == 1).all()
+    assert (table.prev_device[1, 2:, 1] == 0).all()
 
 
 # Metamorphic relations at the benchmark's scale (K=8, L=60), where the

@@ -170,13 +170,17 @@ def compute_table(tables: CostTables) -> DpTable:
     split[0][values[0] < np.inf] = 0
 
     # One candidate block per T, (next device d, split i, predecessor p, j).
-    # A predecessor state (T - {p}, i, p) sits at row squeeze(T, p).
+    # The predecessor states (T - {p}, i, p) sit at rows squeeze(T, p), the
+    # states filled, (T, j, d), at rows squeeze(T, d).
     block = np.empty(K * K // 4 * (L + 1) ** 2)  # room for the largest |T| * (K - |T|)
+    below = (1 << np.arange(K)) - 1
+    above = ~below
     for t_mask in range(1, (1 << K) - 1):
         preds = np.array([p for p in range(K) if (t_mask >> p) & 1])
         nexts = np.array([d for d in range(K) if not (t_mask >> d) & 1])
         n, m = len(preds), len(nexts)
-        prev = values[squeeze(t_mask, preds), :, preds].T  # (i, p)
+        row_of = (t_mask & below) | ((t_mask >> 1) & above)  # squeeze(T, each d)
+        prev = values[row_of[preds], :, preds].T  # (i, p)
         cand = block[:m * (L + 1) * n * (L + 1)].reshape(m, L + 1, n, L + 1)
         np.maximum(tables.load_s[nexts][:, :, None, :], prev[:, :, None], out=cand)
         cand += tables.comm_s[np.ix_(preds, nexts)].transpose(1, 2, 0)[..., None]
@@ -185,7 +189,7 @@ def compute_table(tables: CostTables) -> DpTable:
         best = rows.argmin(axis=1)  # (d, j)
         vals = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
         reached = vals < np.inf
-        out = squeeze(t_mask, nexts)
+        out = row_of[nexts]
         values[out, :, nexts] = vals
         split[out, :, nexts] = np.where(reached, best // n, -1)
         prev_device[out, :, nexts] = np.where(reached, preds[best % n], -1)

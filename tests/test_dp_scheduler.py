@@ -51,19 +51,8 @@ def test_table_bytes_estimate():
         table_bytes(0, 10)
 
 
-@pytest.mark.parametrize("num_devices, num_layers, pointer",
-                         [(1, 1, np.int8), (4, 40, np.int8), (3, 129, np.int16)])
-def test_table_bytes_match_solved_table(num_devices, num_layers, pointer):
-    tables = make_tables([(1e12, 1e6, 5e8)] * num_layers,
-                         [make_device(k) for k in range(num_devices)])
-    table = compute_table(tables)
-    assert table.split.dtype == table.prev_device.dtype == pointer
-    assert table_bytes(num_devices, num_layers) == (
-        table.values.nbytes + table.split.nbytes + table.prev_device.nbytes)
-
-
 @pytest.mark.parametrize("num_layers, pointer", [(128, np.int8), (129, np.int16)])
-def test_last_split_fits_pointer_dtype(num_layers, pointer):
+def test_back_pointers_at_the_int8_boundary(num_layers, pointer):
     # only device 1 holds the heavy last layer and nothing besides it, so the
     # last stage's split is L-1: 127 is int8's largest value, 128 needs int16
     light, heavy = (1e12, 1e6, 5e8), (1e12, 1e6, 1e11)
@@ -72,6 +61,8 @@ def test_last_split_fits_pointer_dtype(num_layers, pointer):
     tables = make_tables([light] * (num_layers - 1) + [heavy], devices)
     table = compute_table(tables)
     assert table.split.dtype == table.prev_device.dtype == pointer
+    assert table_bytes(3, num_layers) == (
+        table.values.nbytes + table.split.nbytes + table.prev_device.nbytes)
     makespan, mask, dev = best_final_state(table)
     plan = reconstruct(table, mask, dev)
     assert plan.stages[-1] == PlanStage(1, num_layers, num_layers)

@@ -231,11 +231,13 @@ def reconstruct(table: DpTable, final_mask: int, final_device: int) -> Plan:
         row = squeeze(rest, dev)
         i = int(table.split[row, j, dev])
         d_prev = int(table.prev_device[row, j, dev])
-        if i < 0 or (rest >> dev) & 1 or i >= j:
+        # a pointer that wrapped in its narrow dtype fails here too
+        if (i < 0 or i >= j or (rest >> dev) & 1
+                or not (d_prev == -1 if i == 0 else 0 <= d_prev < table.num_devices)):
             raise RuntimeError(f"corrupt back-pointer at state ({rest}, {j}, {dev})")
         stages.append(PlanStage(device=dev, start_layer=i + 1, end_layer=j))
         if i == 0:
-            if d_prev != -1 or rest:
+            if rest:
                 raise RuntimeError("base state carries predecessors")
             stages.reverse()
             return Plan(stages=tuple(stages))

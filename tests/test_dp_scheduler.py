@@ -101,6 +101,23 @@ def test_reconstruct_from_explicit_state():
         reconstruct(table, 1, 1)  # device 1 not in mask {0}: unreachable
 
 
+@pytest.mark.parametrize("field, value", [
+    ("split", -128), ("split", 4), ("prev_device", -1), ("prev_device", -128),
+    ("prev_device", 2), ("prev_device", 0)])
+def test_reconstruct_refuses_corrupt_pointers(field, value):
+    # the optimum runs layers 1-2 on device 1, then 3-4 on device 0; each
+    # value breaks the pointer pair (split 2, prev_device 1) of its last stage
+    rows = [(1e12, 1e6, 5e8)] * 4
+    devices = [make_device(0, memory=1.1e9), make_device(1, memory=1.1e9)]
+    table = compute_table(make_tables(rows, devices))
+    _, mask, dev = best_final_state(table)
+    assert (mask, dev) == (0b11, 0)
+    assert (table.split[1, 4, 0], table.prev_device[1, 4, 0]) == (2, 1)
+    getattr(table, field)[1, 4, 0] = value
+    with pytest.raises(RuntimeError):
+        reconstruct(table, mask, dev)
+
+
 def test_matches_oracle_on_random_instances():
     instances = random_instance_suite(40, seed=11)
     for inst in instances:

@@ -128,7 +128,7 @@ def table_bytes(num_devices: int, num_layers: int) -> int:
 
 def squeeze(mask, device):
     """Table row of the states (mask, j, device): mask with bit device
-    removed.  Works on ints and on numpy integer arrays."""
+    removed."""
     low = (1 << device) - 1
     return (mask & low) | ((mask >> 1) & ~low)
 
@@ -173,8 +173,8 @@ def compute_table(tables: CostTables) -> DpTable:
     # The predecessor states (T - {p}, i, p) sit at rows squeeze(T, p), the
     # states filled, (T, j, d), at rows squeeze(T, d).
     block = np.empty(K * K // 4 * (L + 1) ** 2)  # room for the largest |T| * (K - |T|)
-    below = (1 << np.arange(K)) - 1
-    above = ~below
+    below = (1 << np.arange(K)) - 1  # squeeze's masks for every d, made once
+    above = ~below                   # rather than once per step
     for t_mask in range(1, (1 << K) - 1):
         preds = np.array([p for p in range(K) if (t_mask >> p) & 1])
         nexts = np.array([d for d in range(K) if not (t_mask >> d) & 1])

@@ -5,8 +5,8 @@ baseline strategies, timeline simulation, and Gantt rendering."""
 from .cost_tables import CostTables, build
 from .device_model import DeviceProfile, RadioParams
 from .dp_scheduler import Plan, PlanStage, SolveResult, solve
-from .errors import (ColdpipeError, ConfigError, DegenerateScenarioError,
-                     InfeasibleError, PlanError)
+from .errors import (ColdpipeError, ConfigError, InfeasibleError, LimitError,
+                     PlanError)
 from .experiment import ResultRow, Scenario, run_sweep
 from .model_profile import LayerProfile, ModelConfig, build_profiles
 from .timeline import Timeline, evaluate
@@ -14,8 +14,8 @@ from .timeline import Timeline, evaluate
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColdpipeError", "ConfigError", "CostTables", "DegenerateScenarioError",
-    "DeviceProfile", "InfeasibleError", "LayerProfile", "ModelConfig", "Plan",
+    "ColdpipeError", "ConfigError", "CostTables", "DeviceProfile",
+    "InfeasibleError", "LayerProfile", "LimitError", "ModelConfig", "Plan",
     "PlanError", "PlanStage", "RadioParams", "ResultRow", "Scenario",
     "SolveResult", "Timeline", "build", "build_profiles", "evaluate",
     "run_sweep", "solve",

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 from .cost_tables import CostTables
 from .device_model import DeviceProfile
 from .dp_scheduler import Plan, PlanStage
-from .errors import InfeasibleError
+from .errors import InfeasibleError, LimitError
 from .timeline import evaluate, tie_key
 
 STRATEGIES = ("optimal_dp", "even", "heuristic", "single_device", "brute_force")
@@ -58,14 +58,26 @@ def single_device_plan(devices: Sequence[DeviceProfile], num_layers: int) -> Pla
                                   end_layer=num_layers),))
 
 
+def _proportional_plan(devices: Sequence[DeviceProfile], num_layers: int,
+                       scores: Sequence[float]) -> Plan:
+    """Layer counts proportional to the scores, stronger devices first, by
+    largest remainder (ties favor stronger devices); 0-layer devices drop."""
+    total = sum(scores)
+    order = _by_strength(devices)
+    quotas = [num_layers * scores[d] / total for d in order]
+    counts = [int(q) for q in quotas]
+    by_remainder = sorted(range(len(order)),
+                          key=lambda rank: (-(quotas[rank] - counts[rank]), rank))
+    for rank in by_remainder[:num_layers - sum(counts)]:
+        counts[rank] += 1
+    return _plan_from_counts(order, counts)
+
+
 def even_plan(devices: Sequence[DeviceProfile], num_layers: int) -> Plan:
     """Layer counts differing by at most one; remainder layers and earlier
     stages go to stronger devices.  Weakest devices are dropped when there
     are fewer layers than devices."""
-    order = _by_strength(devices)[:min(len(devices), num_layers)]
-    base, extra = divmod(num_layers, len(order))
-    counts = [base + 1 if rank < extra else base for rank in range(len(order))]
-    return _plan_from_counts(order, counts)
+    return _proportional_plan(devices, num_layers, [1.0] * len(devices))
 
 
 def heuristic_scores(devices: Sequence[DeviceProfile]) -> list[float]:
@@ -75,19 +87,8 @@ def heuristic_scores(devices: Sequence[DeviceProfile]) -> list[float]:
 
 
 def heuristic_plan(devices: Sequence[DeviceProfile], num_layers: int) -> Plan:
-    """Layer counts proportional to the harmonic-mean score, rounded by
-    largest remainder (remainder ties favor stronger devices)."""
-    scores = heuristic_scores(devices)
-    total = sum(scores)
-    order = _by_strength(devices)
-    quotas = [num_layers * scores[d] / total for d in order]
-    counts = [int(q) for q in quotas]
-    remainder = num_layers - sum(counts)
-    by_remainder = sorted(range(len(order)),
-                          key=lambda rank: (-(quotas[rank] - counts[rank]), rank))
-    for rank in by_remainder[:remainder]:
-        counts[rank] += 1
-    return _plan_from_counts(order, counts)
+    """Layer counts proportional to the harmonic-mean score."""
+    return _proportional_plan(devices, num_layers, heuristic_scores(devices))
 
 
 def plan_for_strategy(strategy: str, devices: Sequence[DeviceProfile],
@@ -122,17 +123,17 @@ def enumerate_plans(num_devices: int, num_layers: int) -> Iterator[Plan]:
 
 
 def brute_force(tables: CostTables) -> tuple[float, Plan]:
-    """Exhaustive exact optimum on guarded-size instances.
+    """Exhaustive exact optimum on instances within the LimitError guards.
 
     Memory-infeasible candidates are skipped; ties break by `tie_key`, the
     solver's order.
     """
     if tables.num_devices > BRUTE_FORCE_MAX_DEVICES:
-        raise ValueError(
+        raise LimitError(
             f"brute force is limited to {BRUTE_FORCE_MAX_DEVICES} devices "
             f"(got {tables.num_devices}); use the solver instead")
     if tables.num_layers > BRUTE_FORCE_MAX_LAYERS:
-        raise ValueError(
+        raise LimitError(
             f"brute force is limited to {BRUTE_FORCE_MAX_LAYERS} layers "
             f"(got {tables.num_layers}); use the solver instead")
 

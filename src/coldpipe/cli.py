@@ -7,8 +7,9 @@ Subcommands:
   verify       solver-vs-oracle check on randomized small instances
   dump-config  write a normalized copy of a config file
 
-Exit codes: 0 ok, 1 usage, unwritable --out or DP tables past the byte limit,
-2 config error, 3 infeasible, 4 verification failure, 141 stdout closed early.
+Exit codes: 0 ok; 1 usage, an unwritable --out or a LimitError; 2 ConfigError;
+3 InfeasibleError; 4 verification failure; 141 stdout closed early.  Any other
+exception is a fault of the tool and leaves main with its traceback.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import sys
 from pathlib import Path
 
 from . import baselines, config, experiment
-from .errors import (ConfigError, DegenerateScenarioError, InfeasibleError,
-                     PlanError)
+from .errors import ConfigError, InfeasibleError, LimitError
 from .gantt import render_ascii, render_svg
 from .timeline import Timeline
 
@@ -262,18 +262,15 @@ def main(argv=None) -> int:
         # Point stdout at devnull so the interpreter's final flush is silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except OSError as err:  # an unwritable --out
+    except (LimitError, OSError) as err:  # OSError: an unwritable --out
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, DegenerateScenarioError) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleError, PlanError) as err:
+    except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

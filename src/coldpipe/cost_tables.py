@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device_model import DeviceProfile, effective_compute, link_rate
-from .errors import DegenerateScenarioError
+from .errors import ConfigError
 from .model_profile import LayerProfile
 
 
@@ -89,7 +89,7 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
     down = np.array([link_rate(dev.radio, "down") for dev in devices])
     for dev, u, dn in zip(devices, up, down):
         if not (np.isfinite(u) and np.isfinite(dn)) or u <= 0.0 or dn <= 0.0:
-            raise DegenerateScenarioError(
+            raise ConfigError(
                 f"device {dev.id} has a zero or non-finite link rate")
     # A transfer goes through the access point: sender uplink, then
     # receiver downlink, at the slower of the two.

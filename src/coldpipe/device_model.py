@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DegenerateScenarioError
+from .errors import ConfigError
 
 
 def _require_finite(obj, names) -> None:
@@ -92,7 +92,7 @@ def effective_compute(dev: DeviceProfile, t: int) -> float:
         raise ValueError("token count must be at least 1")
     rate = dev.peak_flops * utilization(dev, t)
     if rate <= 0.0:
-        raise DegenerateScenarioError(
+        raise ConfigError(
             f"device {dev.id} has zero effective compute at t={t}")
     return rate
 

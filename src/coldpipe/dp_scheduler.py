@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost_tables import CostTables
-from .errors import InfeasibleError, PlanError
+from .errors import InfeasibleError, LimitError, PlanError
 
 MAX_TABLE_BYTES = 2**32  # larger state tables are refused before allocation
 
@@ -72,7 +72,7 @@ class Plan:
 
 def validate_plan(plan: Plan, tables: CostTables, check_memory: bool = True) -> None:
     """Raise PlanError unless the plan covers layers 1..L contiguously with
-    distinct in-range devices (and, optionally, fits each device's memory)."""
+    distinct in-range devices, InfeasibleError if checked memory overflows."""
     if not plan.stages:
         raise PlanError("plan has no stages")
     if plan.stages[0].start_layer != 1:
@@ -97,7 +97,7 @@ def validate_plan(plan: Plan, tables: CostTables, check_memory: bool = True) -> 
         for stage in plan.stages:
             if not tables.fits[stage.device, stage.start_layer - 1, stage.end_layer]:
                 need = tables.mem_footprint(stage.start_layer, stage.end_layer)
-                raise PlanError(
+                raise InfeasibleError(
                     f"stage {stage} needs {need:.3e} B but device "
                     f"{tables.devices[stage.device].id} has "
                     f"{tables.memory_bytes[stage.device]:.3e} B")
@@ -113,14 +113,14 @@ def pointer_dtype(num_devices: int, num_layers: int) -> np.dtype:
 
 def table_bytes(num_devices: int, num_layers: int) -> int:
     """Bytes of the three (2**(K-1), L+1, K) tables compute_table allocates,
-    one float64 and two of `pointer_dtype`; refuses fleets past
+    one float64 and two of `pointer_dtype`; raises LimitError past
     MAX_TABLE_BYTES.  The limit admits K <= 19 devices at 40 or 60 layers."""
     if num_devices < 1 or num_layers < 1:
         raise ValueError("need at least one device and one layer")
     itemsize = pointer_dtype(num_devices, num_layers).itemsize
     need = (1 << (num_devices - 1)) * (num_layers + 1) * num_devices * (8 + 2 * itemsize)
     if need > MAX_TABLE_BYTES:
-        raise ValueError(
+        raise LimitError(
             f"{num_devices} devices and {num_layers} layers need {need:,} bytes of "
             f"DP tables, over the limit of {MAX_TABLE_BYTES:,} bytes")
     return need

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  `cli.main` exits 1 on
+LimitError, 2 on ConfigError and 3 on InfeasibleError; others propagate."""
 
 
 class ColdpipeError(Exception):
@@ -6,16 +7,16 @@ class ColdpipeError(Exception):
 
 
 class ConfigError(ColdpipeError):
-    """Scenario config file is missing, malformed, or carries unknown keys."""
+    """Bad config: unreadable, malformed, unknown keys, zero compute or link rate."""
 
 
-class DegenerateScenarioError(ColdpipeError):
-    """A device ended up with zero effective compute or a zero link rate."""
+class LimitError(ColdpipeError, ValueError):
+    """Past a size limit: DP table bytes, brute force, float64 exactness."""
 
 
 class PlanError(ColdpipeError):
-    """A plan violates contiguity, device-uniqueness, or memory constraints."""
+    """A plan breaks contiguity or device uniqueness: an internal fault."""
 
 
-class InfeasibleError(ColdpipeError):
-    """No plan satisfies the per-device memory constraints."""
+class InfeasibleError(PlanError):
+    """A plan, or every plan, breaks the per-device memory constraints."""

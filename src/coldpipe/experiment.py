@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from . import baselines, cost_tables, dp_scheduler
 from .device_model import DeviceProfile, RadioParams
-from .errors import InfeasibleError, PlanError
+from .errors import InfeasibleError
 from .model_profile import ModelConfig, build_profiles, layer_sizes
 from .timeline import Timeline, evaluate
 
@@ -96,7 +96,7 @@ def _run_token_length(scenario: Scenario, t: int) -> list[ResultRow]:
     for strategy in scenario.strategies:
         try:
             timelines[strategy] = run_cell(strategy, tables)
-        except (InfeasibleError, PlanError) as err:
+        except InfeasibleError as err:
             raise InfeasibleError(
                 f"strategy {strategy!r} at token length {t}: {err}") from err
 
@@ -157,8 +157,6 @@ _FLEET_RANGES = {
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
-    if lo == hi:
-        return lo
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 

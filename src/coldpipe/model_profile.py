@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import LimitError
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -102,13 +104,13 @@ def layer_param_bytes(cfg: ModelConfig) -> int:
 def layer_sizes(cfg: ModelConfig, t: int) -> tuple[int, int, int]:
     """(FLOPs, activation bytes, weight bytes) of one block at t tokens.
 
-    Raises ValueError naming t when any of them exceeds 2**53, past which
+    Raises LimitError naming t when any of them exceeds 2**53, past which
     float64 no longer holds every integer.
     """
     sizes = (layer_workload(cfg, t), activation_bytes(cfg, t),
              layer_param_bytes(cfg))
     if max(sizes) > 2**53:
-        raise ValueError(f"token count {t} is too large: one layer's FLOPs or "
+        raise LimitError(f"token count {t} is too large: one layer's FLOPs or "
                          "bytes exceed 2**53, the float64-exact limit")
     return sizes
 

@@ -406,3 +406,46 @@ def test_fleet_over_table_byte_limit_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error: 25 devices and 40 layers need ") and err.count("\n") == 1
     assert "over the limit of 4,294,967,296 bytes" in err
     assert peak < 50e6
+
+
+def test_limit_error_is_a_value_error():
+    from coldpipe.errors import ColdpipeError, LimitError
+    assert issubclass(LimitError, ValueError)
+    assert issubclass(LimitError, ColdpipeError)
+
+
+def test_internal_value_error_propagates(monkeypatch):
+    from coldpipe import dp_scheduler
+
+    def broken(tables):
+        raise ValueError("broadcast")
+
+    monkeypatch.setattr(dp_scheduler, "compute_table", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["solve", "--config", CONFIG, "--tokens", "2048"])
+
+
+def test_structural_plan_error_propagates(monkeypatch):
+    from coldpipe import dp_scheduler
+    from coldpipe.errors import PlanError
+
+    def faulty(tables):
+        raise PlanError("devices reused across stages: [0, 0]")
+
+    monkeypatch.setattr(dp_scheduler, "solve", faulty)
+    with pytest.raises(PlanError, match="reused"):
+        main(["solve", "--config", CONFIG, "--tokens", "2048"])
+
+
+def test_infeasible_static_baseline_prints_diagnostic(tmp_path, capsys):
+    text = Path(CONFIG).read_text()
+    for gb in ("20.0", "10.0", "8.0"):
+        text = text.replace(f"memory_gb: {gb}", "memory_gb: 4.0")
+    cfg = tmp_path / "small.yaml"
+    cfg.write_text(text)
+    code, out, err = run(["solve", "--config", str(cfg), "--tokens", "2048",
+                          "--strategy", "even"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("infeasible: ")
+    assert "per-device memory headroom:" in err

@@ -129,8 +129,8 @@ def test_build_rejects_empty():
 
 
 def test_build_rejects_degenerate_compute():
-    from coldpipe.errors import DegenerateScenarioError
-    with pytest.raises(DegenerateScenarioError):
+    from coldpipe.errors import ConfigError
+    with pytest.raises(ConfigError):
         make_tables(triples(2), [make_device(rate=1e-300)])
 
 

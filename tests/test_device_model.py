@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from coldpipe.device_model import (channel_gain, effective_compute, link_rate,
                                    utilization)
-from coldpipe.errors import DegenerateScenarioError
+from coldpipe.errors import ConfigError
 from coldpipe.model_profile import LayerProfile
 from conftest import make_device, make_radio
 
@@ -53,7 +53,7 @@ def test_effective_compute_monotone():
 def test_effective_compute_degenerate():
     # growth rate so small the exponential underflows to exactly 1.0
     dev = make_device(rate=1e-300)
-    with pytest.raises(DegenerateScenarioError):
+    with pytest.raises(ConfigError):
         effective_compute(dev, 1)
 
 

@@ -17,7 +17,7 @@ timeline evaluator the solver is checked against.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import accumulate, combinations, permutations
 from typing import Iterator, Sequence
 
 from .cost_tables import CostTables
@@ -37,25 +37,18 @@ def _by_strength(devices: Sequence[DeviceProfile]) -> list[int]:
     return sorted(range(len(devices)), key=lambda d: (-devices[d].peak_flops, d))
 
 
-def _plan_from_counts(ordered_devices: Sequence[int],
-                      counts: Sequence[int]) -> Plan:
-    stages = []
-    start = 1
-    for dev, count in zip(ordered_devices, counts):
-        if count <= 0:
-            continue
-        stages.append(PlanStage(device=dev, start_layer=start,
-                                end_layer=start + count - 1))
-        start += count
-    return Plan(stages=tuple(stages))
+def _plan(devices: Sequence[int], bounds: Sequence[int]) -> Plan:
+    """Stage n runs layers bounds[n]+1..bounds[n+1] on devices[n]; empty
+    stages are dropped."""
+    return Plan(stages=tuple([
+        PlanStage(device=dev, start_layer=lo + 1, end_layer=hi)
+        for dev, lo, hi in zip(devices, bounds, bounds[1:]) if hi > lo]))
 
 
 def single_device_plan(devices: Sequence[DeviceProfile], num_layers: int) -> Plan:
     """All layers on the strongest device.  The memory constraint is waived
     for this strategy; evaluate it with check_memory=False."""
-    strongest = _by_strength(devices)[0]
-    return Plan(stages=(PlanStage(device=strongest, start_layer=1,
-                                  end_layer=num_layers),))
+    return _plan(_by_strength(devices)[:1], (0, num_layers))
 
 
 def _proportional_plan(devices: Sequence[DeviceProfile], num_layers: int,
@@ -70,7 +63,7 @@ def _proportional_plan(devices: Sequence[DeviceProfile], num_layers: int,
                           key=lambda rank: (-(quotas[rank] - counts[rank]), rank))
     for rank in by_remainder[:num_layers - sum(counts)]:
         counts[rank] += 1
-    return _plan_from_counts(order, counts)
+    return _plan(order, (0, *accumulate(counts)))
 
 
 def even_plan(devices: Sequence[DeviceProfile], num_layers: int) -> Plan:
@@ -104,22 +97,13 @@ def plan_for_strategy(strategy: str, devices: Sequence[DeviceProfile],
     raise ValueError(f"no static plan for strategy {strategy!r}")
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All orderings of `total` into `parts` positive integers."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def enumerate_plans(num_devices: int, num_layers: int) -> Iterator[Plan]:
-    """Every (stage count, ordered device selection, composition) candidate."""
+    """Every (stage count, ordered device selection, cut points) candidate:
+    the cuts are n-1 of the L-1 inner layer boundaries, in increasing order."""
     for n_stages in range(1, min(num_devices, num_layers) + 1):
         for selection in permutations(range(num_devices), n_stages):
-            for counts in _compositions(num_layers, n_stages):
-                yield _plan_from_counts(selection, counts)
+            for cuts in combinations(range(1, num_layers), n_stages - 1):
+                yield _plan(selection, (0, *cuts, num_layers))
 
 
 def brute_force(tables: CostTables) -> tuple[float, Plan]:

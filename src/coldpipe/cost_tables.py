@@ -19,8 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device_model import DeviceProfile, effective_compute, link_rate
-from .errors import ConfigError
+from .errors import ConfigError, LimitError
 from .model_profile import LayerProfile
+
+MAX_TABLE_BYTES = 2**32  # larger cost or DP tables are refused before allocation
 
 
 @dataclass
@@ -65,6 +67,15 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
         raise ValueError("need at least one layer profile")
     if num_devices < 1:
         raise ValueError("need at least one device")
+    # the arrays CostTables holds: memory_bytes, footprint, comm_s and the
+    # three (K, L+1, L+1) segment tables, fits one byte a cell
+    cells = (num_layers + 1) ** 2
+    need = (8 * (num_devices + cells + num_devices**2 * (num_layers + 1))
+            + 17 * num_devices * cells)
+    if need > MAX_TABLE_BYTES:
+        raise LimitError(
+            f"{num_devices} devices and {num_layers} layers need {need:,} bytes of "
+            f"cost tables, over the limit of {MAX_TABLE_BYTES:,} bytes")
 
     param = np.zeros(num_layers + 1)
     work = np.zeros(num_layers + 1)

@@ -32,10 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_tables import CostTables
+from .cost_tables import MAX_TABLE_BYTES, CostTables
 from .errors import InfeasibleError, LimitError, PlanError
-
-MAX_TABLE_BYTES = 2**32  # larger state tables are refused before allocation
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,6 @@ def validate_plan(plan: Plan, tables: CostTables, check_memory: bool = True) -> 
     distinct in-range devices, InfeasibleError if checked memory overflows."""
     if not plan.stages:
         raise PlanError("plan has no stages")
-    if plan.stages[0].start_layer != 1:
-        raise PlanError("first stage must start at layer 1")
     if plan.stages[-1].end_layer != tables.num_layers:
         raise PlanError(f"last stage must end at layer {tables.num_layers}")
     prev_end = 0

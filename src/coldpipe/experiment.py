@@ -264,9 +264,9 @@ def verify_suite(instances: Sequence[SuiteInstance],
         sc = inst.scenario
         tables = build_tables(sc, sc.token_lengths[0])
         try:
-            result = solver(tables)
-        except InfeasibleError:
-            result = None
+            result, refusal = solver(tables), None
+        except InfeasibleError as err:
+            result, refusal = None, err
         try:
             oracle_value, oracle_plan = baselines.brute_force(tables)
         except InfeasibleError:
@@ -276,9 +276,9 @@ def verify_suite(instances: Sequence[SuiteInstance],
             outcomes.append(VerifyOutcome(idx, True, "both infeasible"))
             continue
         if result is None or oracle_value is None:
-            side = "solver" if result is None else "oracle"
-            outcomes.append(VerifyOutcome(
-                idx, False, f"only the {side} reports infeasibility"))
+            outcomes.append(VerifyOutcome(idx, False, (
+                f"only the solver reports infeasibility: {refusal}" if result is None
+                else "only the oracle reports infeasibility")))
             continue
         dp_value = result.makespan_s
         replay = evaluate(result.plan, tables).makespan_s

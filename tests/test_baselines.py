@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from coldpipe.baselines import (brute_force, enumerate_plans, even_plan,
@@ -75,6 +77,24 @@ def test_all_baselines_satisfy_plan_invariants(tab1_tables, fleet):
 def test_brute_force_candidate_count():
     # N=1..4 over 4 devices and 8 layers: 4 + 84 + 504 + 840 = 1432
     assert sum(1 for _ in enumerate_plans(4, 8)) == 1432
+
+
+@pytest.mark.parametrize("num_devices", range(1, 6))
+def test_enumerate_plans_yields_every_plan_once(num_devices):
+    # an ordered choice of n devices times n-1 cut points among the L-1
+    # inner layer boundaries, for every stage count n
+    for num_layers in range(1, 11):
+        plans = list(enumerate_plans(num_devices, num_layers))
+        assert len(set(plans)) == len(plans)
+        for plan in plans:
+            assert [s.start_layer for s in plan.stages] == \
+                [1] + [s.end_layer + 1 for s in plan.stages[:-1]]
+            assert plan.stages[-1].end_layer == num_layers
+            assert all(s.start_layer <= s.end_layer for s in plan.stages)
+            assert len(set(plan.devices)) == len(plan.devices)
+            assert all(0 <= d < num_devices for d in plan.devices)
+        assert len(plans) == sum(math.perm(num_devices, n) * math.comb(num_layers - 1, n - 1)
+                                 for n in range(1, min(num_devices, num_layers) + 1))
 
 
 def test_brute_force_single_candidate():

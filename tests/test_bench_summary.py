@@ -58,6 +58,18 @@ def test_mixed_records_are_refused(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+def test_every_odd_record_is_named(tmp_path, capsys):
+    paths = [record(tmp_path, "tab1_sweep", seed, 0.3, git_sha=sha)
+             for seed, sha in enumerate(["abc123", "def456", "abc123", "def456"])]
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), *paths]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert paths[1] in err and paths[3] in err
+    assert paths[0] not in err and paths[2] not in err
+    assert not out.exists()
+
+
 def test_traced_record_is_refused(tmp_path, capsys):
     path = Path(record(tmp_path, "tab1_sweep", 0, 0.3))
     data = json.loads(path.read_text())

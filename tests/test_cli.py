@@ -408,6 +408,26 @@ def test_fleet_over_table_byte_limit_is_one_line_error(tmp_path, capsys):
     assert peak < 50e6
 
 
+@pytest.mark.parametrize("strategy", ["optimal_dp", "even"])
+def test_model_over_cost_table_byte_limit_is_one_line_error(tmp_path, capsys, strategy):
+    # 20,000 layers on 4 devices would need about 30 GB of cost tables; the
+    # refusal comes from the size estimate, before any table is allocated
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text(Path(CONFIG).read_text().replace("num_layers: 40", "num_layers: 20000"))
+    tracemalloc.start()
+    try:
+        code, out, err = run(["solve", "--config", str(cfg), "--tokens", "256",
+                              "--strategy", strategy], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: 4 devices and 20000 layers need ") and err.count("\n") == 1
+    assert "bytes of cost tables, over the limit of 4,294,967,296 bytes" in err
+    assert peak < 50e6
+
+
 def test_limit_error_is_a_value_error():
     from coldpipe.errors import ColdpipeError, LimitError
     assert issubclass(LimitError, ValueError)

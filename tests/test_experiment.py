@@ -1,12 +1,14 @@
 import dataclasses
+import re
 
 import pytest
 
-from coldpipe.dp_scheduler import Plan, SolveResult, solve
+from coldpipe.dp_scheduler import Plan, PlanStage, SolveResult, solve, validate_plan
 from coldpipe.errors import InfeasibleError
 from coldpipe.experiment import (Scenario, SuiteInstance, average_improvement_pct,
                                  random_instance_suite, run_sweep,
                                  verify_suite)
+from coldpipe.timeline import evaluate
 from conftest import make_device, tab1_scenario
 
 REL = 1e-9
@@ -134,6 +136,22 @@ def test_verify_suite_detects_mirrored_plan():
     [outcome] = verify_suite([SuiteInstance(sc)], solver=mirrored_solver)
     assert not outcome.ok
     assert outcome.detail == "solver plan 0:1-2|1:3-4 != oracle plan 1:1-2|0:3-4"
+
+
+def test_verify_suite_names_the_solver_refusal():
+    # every layer on device 0 overflows its memory on some instances the
+    # oracle solves; the detail carries the solver's own message
+    def one_device_solver(tables):
+        plan = Plan((PlanStage(device=0, start_layer=1, end_layer=tables.num_layers),))
+        validate_plan(plan, tables)
+        return SolveResult(makespan_s=evaluate(plan, tables).makespan_s, plan=plan)
+
+    outcomes = verify_suite(random_instance_suite(60, seed=0), solver=one_device_solver)
+    refused = [o.detail for o in outcomes if o.detail.startswith("only the solver")]
+    assert refused
+    for detail in refused:
+        assert re.fullmatch(r"only the solver reports infeasibility: stage PlanStage\(.*\) "
+                            r"needs \S+ B but device \d+ has \S+ B", detail)
 
 
 def test_infeasibility_reports_token_length():

@@ -39,20 +39,23 @@ def spread(values: list[float], unit: str) -> dict:
 
 
 def summarize(records: list[tuple[str, dict]]) -> dict:
-    environment = None
-    samples: dict[str, dict] = {}
     for name, record in records:
         if (not isinstance(record, dict) or any(key not in record for key in FIELDS)
                 or record["trace"] != 0):
             raise RecordError(f"{name} is not a --trace 0 benchmark record")
-        if environment is None:
-            environment = record["environment"]
-        elif record["environment"] != environment:
-            differ = sorted(key for key in environment.keys() | record["environment"].keys()
-                            if environment.get(key) != record["environment"].get(key))
-            raise RecordError(f"{name} differs from the first record in "
-                              f"{', '.join(differ)}; summarize one git sha and "
-                              "one environment at a time")
+    if not records:
+        raise RecordError("no records given")
+    environment = records[0][1]["environment"]
+    odd = [(name, record["environment"]) for name, record in records
+           if record["environment"] != environment]
+    if odd:
+        differ = sorted({key for _, other in odd for key in environment.keys() | other.keys()
+                         if environment.get(key) != other.get(key)})
+        raise RecordError(f"{', '.join(name for name, _ in odd)} differ from the first "
+                          f"record in {', '.join(differ)}; summarize one git sha and "
+                          "one environment at a time")
+    samples: dict[str, dict] = {}
+    for _, record in records:
         workload = samples.setdefault(record["workload"], {
             "seeds": [], "attempted": 0, "failed": 0, "metrics": {}})
         workload["seeds"].append(record["seed"])
@@ -61,8 +64,6 @@ def summarize(records: list[tuple[str, dict]]) -> dict:
         for metric, value in record["metrics"].items():
             unit, values = workload["metrics"].setdefault(metric, (value["unit"], []))
             values.append(value["value"])
-    if environment is None:
-        raise RecordError("no records given")
     for workload in samples.values():
         workload["seeds"].sort()
         workload["metrics"] = {metric: spread(values, unit)

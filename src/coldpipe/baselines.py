@@ -18,6 +18,7 @@ timeline evaluator the solver is checked against.
 from __future__ import annotations
 
 from itertools import accumulate, combinations, permutations
+from math import comb, perm
 from typing import Iterator, Sequence
 
 from .cost_tables import CostTables
@@ -28,8 +29,7 @@ from .timeline import evaluate, tie_key
 
 STRATEGIES = ("optimal_dp", "even", "heuristic", "single_device", "brute_force")
 
-BRUTE_FORCE_MAX_DEVICES = 5
-BRUTE_FORCE_MAX_LAYERS = 10
+MAX_ORACLE_PLANS = 27_545  # enumerate_plans' count at 5 devices and 10 layers
 
 
 def _by_strength(devices: Sequence[DeviceProfile]) -> list[int]:
@@ -107,22 +107,20 @@ def enumerate_plans(num_devices: int, num_layers: int) -> Iterator[Plan]:
 
 
 def brute_force(tables: CostTables) -> tuple[float, Plan]:
-    """Exhaustive exact optimum on instances within the LimitError guards.
+    """Exhaustive exact optimum; LimitError past MAX_ORACLE_PLANS candidates.
 
     Memory-infeasible candidates are skipped; ties break by `tie_key`, the
     solver's order.
     """
-    if tables.num_devices > BRUTE_FORCE_MAX_DEVICES:
+    K, L = tables.num_devices, tables.num_layers
+    plans = sum(perm(K, n) * comb(L - 1, n - 1) for n in range(1, min(K, L) + 1))
+    if plans > MAX_ORACLE_PLANS:
         raise LimitError(
-            f"brute force is limited to {BRUTE_FORCE_MAX_DEVICES} devices "
-            f"(got {tables.num_devices}); use the solver instead")
-    if tables.num_layers > BRUTE_FORCE_MAX_LAYERS:
-        raise LimitError(
-            f"brute force is limited to {BRUTE_FORCE_MAX_LAYERS} layers "
-            f"(got {tables.num_layers}); use the solver instead")
+            f"brute force would score {plans:,} plans on {K} devices and {L} layers, "
+            f"over the limit of {MAX_ORACLE_PLANS:,}; use the solver instead")
 
     best_key, best = None, None
-    for plan in enumerate_plans(tables.num_devices, tables.num_layers):
+    for plan in enumerate_plans(K, L):
         if not all(tables.fits[s.device, s.start_layer - 1, s.end_layer]
                    for s in plan.stages):
             continue

@@ -22,7 +22,7 @@ from .device_model import DeviceProfile, effective_compute, link_rate
 from .errors import ConfigError, LimitError
 from .model_profile import LayerProfile
 
-MAX_TABLE_BYTES = 2**32  # larger cost or DP tables are refused before allocation
+MAX_TABLE_BYTES = 2**32  # cost tables, or DP tables with fill scratch, past it are refused
 
 
 @dataclass
@@ -52,9 +52,8 @@ class CostTables:
         model (0 if not even a single layer fits).  Diagnostic helper."""
         if not 0 <= d < self.num_devices:
             raise IndexError(f"invalid device index {d} for K={self.num_devices}")
-        bounds = np.arange(self.num_layers + 1)
-        return int(np.max(bounds[None, :] - bounds[:, None],
-                          where=self.fits[d], initial=0))
+        # footprints grow with j, so the fitting j of row i run from i+1
+        return int(self.fits[d].sum(axis=1).max())
 
 
 def build(profiles: list[LayerProfile], devices: list[DeviceProfile],

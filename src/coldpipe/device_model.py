@@ -116,7 +116,10 @@ def link_rate(radio: RadioParams, direction: str) -> float:
         power_dbm = radio.tx_power_down_dbm
     else:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    power_w = _dbm_to_watts(power_dbm)
-    noise_w = _dbm_to_watts(radio.noise_dbm_per_hz) * radio.bandwidth_hz
-    snr = power_w * channel_gain(radio) / noise_w
+    try:
+        power_w = _dbm_to_watts(power_dbm)
+        noise_w = _dbm_to_watts(radio.noise_dbm_per_hz) * radio.bandwidth_hz
+        snr = power_w * channel_gain(radio) / noise_w
+    except (OverflowError, ZeroDivisionError):  # dB values past float range
+        return math.inf
     return radio.efficiency * radio.bandwidth_hz * math.log2(1.0 + snr)

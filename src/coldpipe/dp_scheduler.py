@@ -109,17 +109,11 @@ def pointer_dtype(num_devices: int, num_layers: int) -> np.dtype:
 
 def table_bytes(num_devices: int, num_layers: int) -> int:
     """Bytes of the three (2**(K-1), L+1, K) tables compute_table allocates,
-    one float64 and two of `pointer_dtype`; raises LimitError past
-    MAX_TABLE_BYTES.  The limit admits K <= 19 devices at 40 or 60 layers."""
+    one float64 and two of `pointer_dtype`."""
     if num_devices < 1 or num_layers < 1:
         raise ValueError("need at least one device and one layer")
     itemsize = pointer_dtype(num_devices, num_layers).itemsize
-    need = (1 << (num_devices - 1)) * (num_layers + 1) * num_devices * (8 + 2 * itemsize)
-    if need > MAX_TABLE_BYTES:
-        raise LimitError(
-            f"{num_devices} devices and {num_layers} layers need {need:,} bytes of "
-            f"DP tables, over the limit of {MAX_TABLE_BYTES:,} bytes")
-    return need
+    return (1 << (num_devices - 1)) * (num_layers + 1) * num_devices * (8 + 2 * itemsize)
 
 
 def squeeze(mask, device):
@@ -148,9 +142,16 @@ class SolveResult:
 
 
 def compute_table(tables: CostTables) -> DpTable:
-    """Fill the full (T, j, d) table bottom-up."""
+    """Fill the full (T, j, d) table bottom-up; raises LimitError, before
+    any allocation, when the tables and the fill's scratch pass
+    MAX_TABLE_BYTES.  The limit admits K <= 19 devices at 40 or 60 layers."""
     L, K = tables.num_layers, tables.num_devices
-    table_bytes(K, L)  # refuses an oversized fleet before any allocation
+    # scratch: comp_or_inf, the largest candidate block and argmin's copy of it
+    need = table_bytes(K, L) + 8 * (L + 1) ** 2 * (K + 2 * (K * K // 4))
+    if need > MAX_TABLE_BYTES:
+        raise LimitError(
+            f"{K} devices and {L} layers need {need:,} bytes of DP tables and "
+            f"scratch, over the limit of {MAX_TABLE_BYTES:,} bytes")
 
     # Infeasible segments cost +inf.
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from coldpipe.baselines import (brute_force, enumerate_plans, even_plan,
-                                heuristic_plan, heuristic_scores,
+from coldpipe.baselines import (MAX_ORACLE_PLANS, brute_force, enumerate_plans,
+                                even_plan, heuristic_plan, heuristic_scores,
                                 plan_for_strategy, single_device_plan)
-from coldpipe.dp_scheduler import PlanStage, validate_plan
-from coldpipe.errors import InfeasibleError
+from coldpipe.dp_scheduler import PlanStage, solve, validate_plan
+from coldpipe.errors import InfeasibleError, LimitError
 from coldpipe.timeline import evaluate
 from conftest import make_device, make_tables
 
@@ -114,14 +114,21 @@ def test_brute_force_beats_static_baselines():
         assert value <= evaluate(candidate, tables).makespan_s
 
 
-def test_brute_force_guards():
-    devices = [make_device(i) for i in range(6)]
-    tables = make_tables([(1e12, 1e6, 5e8)] * 3, devices)
-    with pytest.raises(ValueError):
-        brute_force(tables)
-    tables2 = make_tables([(1e12, 1e6, 5e8)] * 11, [make_device()])
-    with pytest.raises(ValueError):
-        brute_force(tables2)
+def test_brute_force_plan_budget():
+    # the budget is enumerate_plans' count at 5 devices and 10 layers
+    assert sum(1 for _ in enumerate_plans(5, 10)) == MAX_ORACLE_PLANS
+    row = (1e12, 1e6, 5e8)
+    with pytest.raises(LimitError, match="27,592 plans"):
+        brute_force(make_tables([row] * 20, [make_device(i) for i in range(4)]))
+    # at the budget the oracle runs, and finds no plan fitting 1 MB devices
+    with pytest.raises(InfeasibleError):
+        brute_force(make_tables([row] * 10, [make_device(i, memory=1e6) for i in range(5)]))
+    # more than 5 devices or 10 layers, but few plans
+    for num_devices, num_layers in ((6, 3), (1, 11)):
+        tables = make_tables([row] * num_layers,
+                             [make_device(i) for i in range(num_devices)])
+        result = solve(tables)
+        assert brute_force(tables) == (result.makespan_s, result.plan)
 
 
 def test_brute_force_respects_memory():

@@ -262,6 +262,26 @@ def test_zero_link_rate_is_config_error(tmp_path, capsys):
     assert "config error" in err and "device 2" in err and "link rate" in err
 
 
+@pytest.mark.parametrize("command", [["solve", "--tokens", "2048"], ["sweep", "--out", "r.csv"]],
+                         ids=["solve", "sweep"])
+@pytest.mark.parametrize("old, new, device", [
+    ("tx_power_up_dbm: 18.0", "tx_power_up_dbm: 1.0e+300", 2),
+    ("ref_gain_db: -47.2", "ref_gain_db: 4000.0", 1),
+    ("distance_m: 3.0", "distance_m: 1.0e-300", 2),
+    ("noise_dbm_per_hz: -174.0", "noise_dbm_per_hz: -4000.0", 1),
+], ids=["tx-power", "ref-gain", "distance", "noise"])
+def test_out_of_range_radio_value_is_config_error(tmp_path, capsys, monkeypatch,
+                                                  command, old, new, device):
+    # each edit overflows a float or zeroes the noise power
+    monkeypatch.chdir(tmp_path)
+    cfg = _edited_tab1(tmp_path, old, new)
+    code, out, err = run([*command, "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"device {device} " in err and "link rate" in err
+
+
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf",
                                    pytest.param("1" + "0" * 400, id="huge-int")])
 def test_non_finite_number_is_config_error(tmp_path, capsys, value):

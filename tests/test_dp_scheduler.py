@@ -1,15 +1,18 @@
 import dataclasses
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 
+from coldpipe import cost_tables, dp_scheduler
 from coldpipe.baselines import brute_force
 from coldpipe.dp_scheduler import (MAX_TABLE_BYTES, Plan, PlanStage,
                                    best_final_state, compute_table, reconstruct,
                                    solve, table_bytes, validate_plan)
-from coldpipe.errors import InfeasibleError
+from coldpipe.errors import InfeasibleError, LimitError
 from coldpipe.experiment import random_instance_suite
 from coldpipe.model_profile import build_profiles
 from coldpipe.timeline import evaluate
@@ -29,7 +32,6 @@ def suite_tables(instance):
 
 
 def make_tables_from_scenario(sc, t):
-    from coldpipe import cost_tables
     return cost_tables.build(build_profiles(sc.model, t), list(sc.devices), t)
 
 
@@ -42,13 +44,53 @@ def test_table_bytes_estimate():
     # the byte limit admits K <= 19 at L=60 and at L=40
     assert table_bytes(19, 60) == 3_038_248_960
     assert table_bytes(19, 40) == 2_042_101_760
-    for num_devices, num_layers, need in ((20, 60, "6,396,313,600"),
-                                          (20, 40, "4,299,161,600"),
-                                          (25, 10, "46,137,344,000")):
-        with pytest.raises(ValueError, match=f"need {need} bytes .* {MAX_TABLE_BYTES:,} bytes"):
-            table_bytes(num_devices, num_layers)
+    for num_devices, num_layers, need in ((20, 60, "6,402,862,560"),
+                                          (20, 40, "4,302,120,160"),
+                                          (25, 10, "46,137,670,216")):
+        tables = make_tables([(1e12, 1e6, 5e8)] * num_layers,
+                             [make_device(i) for i in range(num_devices)])
+        with pytest.raises(LimitError, match=f"need {need} bytes .* {MAX_TABLE_BYTES:,} bytes"):
+            compute_table(tables)
     with pytest.raises(ValueError):
         table_bytes(0, 10)
+
+
+def deep_tab1(model, fleet, num_layers, t=2048):
+    """Tables of the tab1 model stretched to num_layers blocks."""
+    model = dataclasses.replace(model, num_layers=num_layers)
+    return cost_tables.build(build_profiles(model, t), fleet, t)
+
+
+def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
+    # the DP tables are 230,784 bytes; comp_or_inf, the candidate block and
+    # argmin's copy of it bring the count to 34,906,080
+    tables = deep_tab1(qwen_cfg, fleet, 600)
+    monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES", 30_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitError, match="need 34,906,080 bytes"):
+            compute_table(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("num_devices", [2, 3, 4])
+def test_fill_peak_matches_the_count(qwen_cfg, fleet, num_devices):
+    # the refusal is only as good as the count: the fill's traced peak
+    # stays within 5% of it
+    num_layers = 400
+    tables = deep_tab1(qwen_cfg, fleet[:num_devices], num_layers)
+    count = table_bytes(num_devices, num_layers) + 8 * (num_layers + 1) ** 2 * (
+        num_devices + 2 * (num_devices ** 2 // 4))
+    tracemalloc.start()
+    try:
+        compute_table(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(peak - count) <= 0.05 * count
 
 
 @pytest.mark.parametrize("num_layers, pointer", [(128, np.int8), (129, np.int16)])
@@ -171,6 +213,32 @@ def test_matches_oracle_on_heterogeneous_layers(tables):
     assert rel_close(evaluate(result.plan, tables).makespan_s, result.makespan_s)
     assert rel_close(evaluate(oracle_plan, tables).makespan_s, oracle_value)
     assert oracle_plan == result.plan
+
+
+def sixty_layer_instance(seed):
+    """Three devices differing in compute, disk and uplink over 60
+    non-uniform layers; the longest segment device k holds is hosts[k] layers."""
+    rng = random.Random(seed)
+    layers = [(rng.uniform(1e11, 8e11), rng.uniform(1e6, 4e7), rng.uniform(2e8, 8e8))
+              for _ in range(60)]
+    footprint = make_tables(layers, [make_device()]).footprint
+    hosts = [rng.randint(15, 45) for _ in range(3)]
+    devices = [make_device(k, peak=rng.uniform(5e12, 5e13), disk=rng.uniform(2e8, 3e9),
+                           memory=float(np.diagonal(footprint, offset=h).min()),
+                           up_dbm=rng.uniform(10.0, 22.0))
+               for k, h in enumerate(hosts)]
+    return hosts, make_tables(layers, devices)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matches_oracle_at_sixty_layers(seed):
+    # the benchmark's layer count, with every device's memory binding
+    hosts, tables = sixty_layer_instance(seed)
+    assert [tables.max_hostable_layers(d) for d in range(3)] == hosts
+    result = solve(tables)
+    oracle_value, oracle_plan = brute_force(tables)
+    assert oracle_plan == result.plan
+    assert oracle_value == result.makespan_s
 
 
 def test_exact_tie_prefers_fewer_devices():

@@ -27,8 +27,6 @@ from .dp_scheduler import Plan, PlanStage
 from .errors import InfeasibleError, LimitError
 from .timeline import evaluate, tie_key
 
-STRATEGIES = ("optimal_dp", "even", "heuristic", "single_device", "brute_force")
-
 MAX_ORACLE_PLANS = 27_545  # enumerate_plans' count at 5 devices and 10 layers
 
 
@@ -84,17 +82,18 @@ def heuristic_plan(devices: Sequence[DeviceProfile], num_layers: int) -> Plan:
     return _proportional_plan(devices, num_layers, heuristic_scores(devices))
 
 
+# name -> plan builder of each baseline; the other two strategies need cost tables
+BASELINE_PLANS = {"even": even_plan, "heuristic": heuristic_plan,
+                  "single_device": single_device_plan}
+STRATEGIES = ("optimal_dp", *BASELINE_PLANS, "brute_force")
+
+
 def plan_for_strategy(strategy: str, devices: Sequence[DeviceProfile],
                       num_layers: int) -> Plan:
-    """Build the named baseline plan (not valid for optimal_dp/brute_force,
-    which need cost tables)."""
-    if strategy == "single_device":
-        return single_device_plan(devices, num_layers)
-    if strategy == "even":
-        return even_plan(devices, num_layers)
-    if strategy == "heuristic":
-        return heuristic_plan(devices, num_layers)
-    raise ValueError(f"no static plan for strategy {strategy!r}")
+    """Build the named baseline plan."""
+    if strategy not in BASELINE_PLANS:
+        raise ValueError(f"no static plan for strategy {strategy!r}")
+    return BASELINE_PLANS[strategy](devices, num_layers)
 
 
 def enumerate_plans(num_devices: int, num_layers: int) -> Iterator[Plan]:

@@ -6,7 +6,7 @@ per device with explicit units in the key names (peak_tflops,
 disk_read_mb_s, memory_gb, dBm powers), and an experiment section.
 MB/GB are decimal (1e6/1e9 bytes).  Unknown keys are rejected with their
 full path, so a typo in a unit suffix fails loudly instead of silently
-changing the scenario.
+changing the scenario, and a key given twice in one mapping is refused.
 
 Any radio key may sit in the shared section, in a device row (override),
 or both; every device must end up with a complete radio parameter set.
@@ -20,13 +20,14 @@ from typing import Any
 
 import yaml
 
+from .baselines import BASELINE_PLANS
 from .device_model import DeviceProfile, RadioParams
 from .errors import ConfigError
 from .experiment import Scenario
 from .model_profile import ModelConfig
 
 DEFAULT_TOKEN_LENGTHS = (256, 512, 1024, 2048, 4096, 8192)
-DEFAULT_STRATEGIES = ("optimal_dp", "even", "heuristic", "single_device")
+DEFAULT_STRATEGIES = ("optimal_dp", *BASELINE_PLANS)
 
 _MODEL_KEYS = ("d_model", "h_q", "h_kv", "d_head", "d_ff", "num_layers",
                "bytes_per_element")
@@ -159,18 +160,12 @@ def _parse_experiment(node: Any) -> dict[str, Any]:
         return out
     node = _as_mapping(node, "experiment")
     _reject_unknown(node, set(out), "experiment")
-    if "token_lengths" in node:
-        raw = node["token_lengths"]
-        if not isinstance(raw, list) or not raw:
-            _fail("experiment.token_lengths", "expected a nonempty list")
-        out["token_lengths"] = tuple(
-            _as_int(v, f"experiment.token_lengths[{i}]") for i, v in enumerate(raw))
-    if "strategies" in node:
-        raw = node["strategies"]
-        if not isinstance(raw, list) or not raw:
-            _fail("experiment.strategies", "expected a nonempty list")
-        out["strategies"] = tuple(
-            _as_str(v, f"experiment.strategies[{i}]") for i, v in enumerate(raw))
+    for key, item in (("token_lengths", _as_int), ("strategies", _as_str)):
+        if key in node:
+            raw = node[key]
+            if not isinstance(raw, list) or not raw:
+                _fail(f"experiment.{key}", "expected a nonempty list")
+            out[key] = tuple(item(v, f"experiment.{key}[{i}]") for i, v in enumerate(raw))
     if "seed" in node:
         out["seed"] = _as_int(node["seed"], "experiment.seed")
     return out
@@ -194,16 +189,34 @@ def scenario_from_mapping(data: Any) -> Scenario:
         raise ConfigError(str(err)) from err
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """Refuses a key given twice in one mapping; a `<<` merged key may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # keys are hashable
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
+        # bytes, so PyYAML decodes them and any encoding fault is a YAMLError
+        data = yaml.load(path.read_bytes(), Loader=_UniqueKeyLoader)
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
-    try:
-        data = yaml.safe_load(text)
     except yaml.YAMLError as err:
-        raise ConfigError(f"{path}: invalid YAML: {err}") from err
+        mark = getattr(err, "problem_mark", None)
+        where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
+        problem = getattr(err, "problem", None) or " ".join(str(err).split())
+        raise ConfigError(f"{path}: invalid YAML: {problem}{where}") from err
     return scenario_from_mapping(data)
 
 

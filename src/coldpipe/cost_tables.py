@@ -5,8 +5,8 @@ token length).
 the timeline and the brute-force oracle all index the arrays it returns.
 Segment arrays are indexed by layer boundaries, so `[d, i, j]` covers
 layers i+1..j and the 1-based inclusive segment a..b is `[d, a - 1, b]`.
-Cells with i >= j hold no segment; `fits` is False there and no caller
-reads them.  Device indices are 0-based positions in the device list.
+Cells with i >= j hold no segment (+inf `footprint`, False `fits`) and no
+caller reads them.  Device indices are 0-based positions in the device list.
 
 Bytes vs bits: sizes are in bytes and link rates in bits/s; the factor of 8
 is applied once, in `comm_s`.
@@ -62,34 +62,24 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
     segment tables."""
     num_layers = len(profiles)
     num_devices = len(devices)
-    if num_layers < 1:
-        raise ValueError("need at least one layer profile")
-    if num_devices < 1:
-        raise ValueError("need at least one device")
-    # the arrays CostTables holds: memory_bytes, footprint, comm_s and the
-    # three (K, L+1, L+1) segment tables, fits one byte a cell
+    if num_layers < 1 or num_devices < 1:
+        raise ValueError("need at least one layer profile and one device")
+    # all that build allocates: the arrays CostTables holds, fits one byte a
+    # cell, and the two (L+1, L+1) segment sums
     cells = (num_layers + 1) ** 2
-    need = (8 * (num_devices + cells + num_devices**2 * (num_layers + 1))
+    need = (8 * (num_devices + 3 * cells + num_devices**2 * (num_layers + 1))
             + 17 * num_devices * cells)
     if need > MAX_TABLE_BYTES:
         raise LimitError(
             f"{num_devices} devices and {num_layers} layers need {need:,} bytes of "
             f"cost tables, over the limit of {MAX_TABLE_BYTES:,} bytes")
 
-    param = np.zeros(num_layers + 1)
-    work = np.zeros(num_layers + 1)
-    act = np.zeros(num_layers + 1)
-    for l, p in enumerate(profiles, start=1):
-        param[l] = p.param_bytes
-        work[l] = p.workload_flops
-        act[l] = p.activation_bytes
-    prefix_param = np.concatenate(([0.0], np.cumsum(param[1:])))
-    prefix_work = np.concatenate(([0.0], np.cumsum(work[1:])))
-    # seg_*[i, j] = total over layers i+1..j (meaningless unless nonempty)
+    # prefix_*[l] sums layers 1..l; seg_*[i, j] sums layers i+1..j if i < j
+    prefix_param = np.cumsum([0.0] + [p.param_bytes for p in profiles])
+    prefix_work = np.cumsum([0.0] + [p.workload_flops for p in profiles])
+    act = np.array([0.0] + [p.activation_bytes for p in profiles])
     seg_param = prefix_param[None, :] - prefix_param[:, None]
     seg_work = prefix_work[None, :] - prefix_work[:, None]
-    bounds = np.arange(num_layers + 1)
-    nonempty = bounds[None, :] > bounds[:, None]
 
     disk = np.array([dev.disk_bytes_per_s for dev in devices])
     compute = np.array([effective_compute(dev, t) for dev in devices])
@@ -106,9 +96,12 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
     min_link = np.minimum(up[:, None], down[None, :])
 
     # footprint[i, j] = weights of layers i+1..j plus their largest
-    # activation (activations are nonnegative); +inf marks empty segments.
-    seg_max_act = np.maximum.accumulate(np.where(nonempty, act, 0.0), axis=1)
-    footprint = np.where(nonempty, seg_max_act + seg_param, np.inf)
+    # activation, built in place; +inf on empty segments (i >= j) fits nothing
+    empty = np.tri(num_layers + 1, dtype=bool)
+    footprint = np.where(empty, 0.0, act)
+    np.maximum.accumulate(footprint, axis=1, out=footprint)
+    footprint += seg_param
+    footprint[empty] = np.inf
 
     return CostTables(
         num_layers=num_layers,
@@ -116,7 +109,7 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
         devices=tuple(devices),
         memory_bytes=memory,
         footprint=footprint,
-        fits=nonempty & (footprint[None, :, :] <= memory[:, None, None]),
+        fits=footprint[None, :, :] <= memory[:, None, None],
         load_s=seg_param[None, :, :] / disk[:, None, None],
         comp_s=seg_work[None, :, :] / compute[:, None, None],
         comm_s=(8.0 * act)[None, None, :] / min_link[:, :, None],

@@ -110,14 +110,11 @@ def _dbm_to_watts(dbm: float) -> float:
 def link_rate(radio: RadioParams, direction: str) -> float:
     """Achievable rate in bits/s for 'up' (device to AP) or 'down' (AP to
     device), from the Shannon capacity scaled by the efficiency factor."""
-    if direction == "up":
-        power_dbm = radio.tx_power_up_dbm
-    elif direction == "down":
-        power_dbm = radio.tx_power_down_dbm
-    else:
+    powers = {"up": radio.tx_power_up_dbm, "down": radio.tx_power_down_dbm}
+    if direction not in powers:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     try:
-        power_w = _dbm_to_watts(power_dbm)
+        power_w = _dbm_to_watts(powers[direction])
         noise_w = _dbm_to_watts(radio.noise_dbm_per_hz) * radio.bandwidth_hz
         snr = power_w * channel_gain(radio) / noise_w
     except (OverflowError, ZeroDivisionError):  # dB values past float range

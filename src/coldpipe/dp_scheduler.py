@@ -86,9 +86,8 @@ def validate_plan(plan: Plan, tables: CostTables, check_memory: bool = True) -> 
         if not 0 <= stage.device < tables.num_devices:
             raise PlanError(f"unknown device index {stage.device}")
         prev_end = stage.end_layer
-    devices = [s.device for s in plan.stages]
-    if len(set(devices)) != len(devices):
-        raise PlanError(f"devices reused across stages: {devices}")
+    if len(set(plan.devices)) != len(plan.stages):
+        raise PlanError(f"devices reused across stages: {list(plan.devices)}")
     if check_memory:
         for stage in plan.stages:
             if not tables.fits[stage.device, stage.start_layer - 1, stage.end_layer]:

@@ -20,8 +20,6 @@ from .errors import InfeasibleError
 from .model_profile import ModelConfig, build_profiles, layer_sizes
 from .timeline import Timeline, evaluate
 
-BASELINE_STRATEGIES = ("even", "heuristic", "single_device")
-
 RELATIVE_TOLERANCE = 1e-9
 
 
@@ -80,13 +78,11 @@ def build_tables(scenario: Scenario, t: int) -> cost_tables.CostTables:
 def run_cell(strategy: str, tables: cost_tables.CostTables) -> Timeline:
     """Timeline of one strategy on prebuilt tables."""
     if strategy == "optimal_dp":
-        result = dp_scheduler.solve(tables)
-        return evaluate(result.plan, tables)
-    if strategy == "brute_force":
+        plan = dp_scheduler.solve(tables).plan
+    elif strategy == "brute_force":
         _, plan = baselines.brute_force(tables)
-        return evaluate(plan, tables)
-    plan = baselines.plan_for_strategy(
-        strategy, tables.devices, tables.num_layers)
+    else:
+        plan = baselines.plan_for_strategy(strategy, tables.devices, tables.num_layers)
     return evaluate(plan, tables, check_memory=(strategy != "single_device"))
 
 
@@ -101,7 +97,7 @@ def _run_token_length(scenario: Scenario, t: int) -> list[ResultRow]:
                 f"strategy {strategy!r} at token length {t}: {err}") from err
 
     baseline_makespans = [timelines[s].makespan_s for s in scenario.strategies
-                          if s in BASELINE_STRATEGIES]
+                          if s in baselines.BASELINE_PLANS]
     rows = []
     for strategy in scenario.strategies:
         tl = timelines[strategy]

@@ -229,6 +229,32 @@ def _edited_tab1(tmp_path, old, new):
     return str(path)
 
 
+def _tab1_bytes(old: bytes, new: bytes) -> bytes:
+    text = TAB1_CONFIG.read_bytes()
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    # PyYAML's own report of this flow sequence left open is 8 lines
+    (b"model: [1, 2\n", "expected ',' or ']', but got '<stream end>' (line 2, column 1)"),
+    # bytes that are no UTF-8 text, whatever the locale
+    (_tab1_bytes(b"model:", b"model: \xff\xfe"),
+     "unacceptable character #x00ff: invalid start byte"),
+    # a repeated key would silently replace device 1's 20 GB with 0.1 GB
+    (_tab1_bytes(b"  memory_gb: 20.0\n", b"  memory_gb: 20.0\n  memory_gb: 0.1\n"),
+     "duplicate key 'memory_gb' (line 24, column 3)"),
+], ids=["unclosed_flow", "not_utf8", "repeated_key"])
+def test_malformed_yaml_is_one_line_config_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_bytes(text)
+    code, out, err = run(["solve", "--config", str(cfg), "--tokens", "2048"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {cfg}: invalid YAML: {message}")
+    assert err.count("\n") == 1
+
+
 def test_model_preset_is_unknown_key(tmp_path, capsys):
     cfg = _edited_tab1(tmp_path, "model:\n", "model:\n  preset: qwen3_14b\n")
     code, out, err = run(["solve", "--config", cfg, "--tokens", "2048"], capsys)
@@ -430,8 +456,8 @@ def test_fleet_over_table_byte_limit_is_one_line_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("strategy", ["optimal_dp", "even"])
 def test_model_over_cost_table_byte_limit_is_one_line_error(tmp_path, capsys, strategy):
-    # 20,000 layers on 4 devices would need about 30 GB of cost tables; the
-    # refusal comes from the size estimate, before any table is allocated
+    # 20,000 layers on 4 devices would need about 36.8 GB of cost tables;
+    # the refusal comes from the size estimate, before any table is allocated
     cfg = tmp_path / "deep.yaml"
     cfg.write_text(Path(CONFIG).read_text().replace("num_layers: 40", "num_layers: 20000"))
     tracemalloc.start()
@@ -443,7 +469,8 @@ def test_model_over_cost_table_byte_limit_is_one_line_error(tmp_path, capsys, st
         tracemalloc.stop()
     assert code == 1
     assert out == ""
-    assert err.startswith("error: 4 devices and 20000 layers need ") and err.count("\n") == 1
+    assert err.startswith("error: 4 devices and 20000 layers need 36,806,240,252 bytes ")
+    assert err.count("\n") == 1
     assert "bytes of cost tables, over the limit of 4,294,967,296 bytes" in err
     assert peak < 50e6
 

@@ -129,6 +129,24 @@ def test_duplicate_device_ids(tmp_path):
         load_scenario(path)
 
 
+def test_merge_keys_may_be_overridden(tmp_path):
+    # only a key given twice in one mapping is refused, not one that
+    # overrides a key merged in with `<<`
+    text = TAB1_CONFIG.read_text().replace(
+        "- id: 2\n", "- <<: &dev2\n    id: 2\n    memory_gb: 0.1\n", 1)
+    path = tmp_path / "merge.yaml"
+    path.write_text(text)
+    assert load_scenario(path) == tab1_scenario()
+
+
+def test_repeated_key_in_a_nested_mapping_is_refused(tmp_path):
+    text = TAB1_CONFIG.read_text().replace("  h_kv: 8\n", "  h_kv: 8\n  h_kv: 4\n", 1)
+    path = tmp_path / "twice.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"duplicate key 'h_kv' \(line 5, column 3\)"):
+        load_scenario(path)
+
+
 _yaml_leaf = st.one_of(st.none(), st.booleans(),
                        st.integers(-10**400, 10**400),
                        st.floats(allow_nan=True, allow_infinity=True),

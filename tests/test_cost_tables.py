@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +143,33 @@ def test_outputs_positive(tab1_tables):
     assert tables.comp_s[3, 0, 40] > 0
     assert tables.comm_s[1, 0, 10] > 0
     assert tables.mem_footprint(1, 40) > 0
+
+
+def test_no_segment_fits_where_i_is_not_below_j(tab1_tables):
+    # fits needs no mask of its own: footprint is +inf on every empty cell
+    tables = tab1_tables(2048)
+    empty = np.tri(41, dtype=bool)
+    assert np.all(tables.footprint[empty] == np.inf)
+    assert not tables.fits[:, empty].any()
+    assert tables.fits[:, ~empty].any()
+
+
+@pytest.mark.parametrize("num_devices", [1, 2, 3, 4])
+def test_build_peak_matches_the_count(qwen_cfg, fleet, num_devices):
+    # the refusal is only as good as the count: build's traced peak stays
+    # within 5% of the bytes its MAX_TABLE_BYTES check counts
+    num_layers, t = 400, 2048
+    profiles = build_profiles(dataclasses.replace(qwen_cfg, num_layers=num_layers), t)
+    cells = (num_layers + 1) ** 2
+    count = (8 * (num_devices + 3 * cells + num_devices**2 * (num_layers + 1))
+             + 17 * num_devices * cells)
+    tracemalloc.start()
+    try:
+        cost_tables.build(profiles, fleet[:num_devices], t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(peak - count) <= 0.05 * count
 
 
 def test_max_hostable_layers(tab1_tables):

@@ -8,8 +8,9 @@ Subcommands:
   dump-config  write a normalized copy of a config file
 
 Exit codes: 0 ok; 1 usage, an unwritable --out or a LimitError; 2 ConfigError;
-3 InfeasibleError; 4 verification failure; 141 stdout closed early.  Any other
-exception is a fault of the tool and leaves main with its traceback.
+3 InfeasibleError; 4 verification failure; 141 stdout closed early.  `main`
+sets every one of them except verify's 4, which `cmd_verify` returns.  Any
+other exception is a fault of the tool and leaves main with its traceback.
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that quit early
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-    config problems, so remap usage errors to 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _positive_int(text: str) -> int:
@@ -79,16 +70,19 @@ def _fmt(value: float) -> str:
     return format(value, ".9g")
 
 
-def _device_labels(scenario) -> list[str]:
-    return [f"Device {dev.id}" for dev in scenario.devices]
+def _emit(out: str | None, text: str, note: str = "") -> None:
+    """Write `text` to the file `out` and say so, or print it if no --out."""
+    if out:
+        _atomic_write(Path(out), text)
+        print(f"wrote {out}{note}")
+    else:
+        print(text, end="")
 
 
-def _print_memory_diagnostic(labels, tables) -> None:
-    print("per-device memory headroom:", file=sys.stderr)
-    for d, (label, dev) in enumerate(zip(labels, tables.devices)):
-        hostable = tables.max_hostable_layers(d)
-        print(f"  {label}: {dev.memory_bytes / 1e9:.2f} GB holds at "
-              f"most {hostable} of {tables.num_layers} layers", file=sys.stderr)
+def _load_cell(args):
+    """Cost tables of the --config scenario at --tokens, and device labels."""
+    tables = experiment.build_tables(config.load_scenario(args.config), args.tokens)
+    return tables, [f"Device {dev.id}" for dev in tables.devices]
 
 
 def _print_timeline(labels, timeline: Timeline) -> None:
@@ -107,15 +101,15 @@ def _print_timeline(labels, timeline: Timeline) -> None:
 
 
 def cmd_solve(args) -> int:
-    scenario = config.load_scenario(args.config)
-    tables = experiment.build_tables(scenario, args.tokens)
-    labels = _device_labels(scenario)
+    tables, labels = _load_cell(args)
     try:
         timeline = experiment.run_cell(args.strategy, tables)
     except InfeasibleError as err:
-        print(f"infeasible: {err}", file=sys.stderr)
-        _print_memory_diagnostic(labels, tables)
-        return EXIT_INFEASIBLE
+        headroom = [f"  {label}: {dev.memory_bytes / 1e9:.2f} GB holds at most "
+                    f"{tables.max_hostable_layers(d)} of {tables.num_layers} layers"
+                    for d, (label, dev) in enumerate(zip(labels, tables.devices))]
+        raise InfeasibleError("\n".join(
+            [str(err), "per-device memory headroom:", *headroom])) from err
     print(f"token length {args.tokens}, strategy {args.strategy}")
     _print_timeline(labels, timeline)
     if args.out:
@@ -124,14 +118,13 @@ def cmd_solve(args) -> int:
             "strategy": args.strategy,
             "makespan_s": timeline.makespan_s,
             "plan": [
-                {"device_id": scenario.devices[s.device].id,
+                {"device_id": tables.devices[s.device].id,
                  "start_layer": s.start_layer, "end_layer": s.end_layer}
                 for s in timeline.stages
             ],
             "timeline": dataclasses.asdict(timeline),
         }
-        _atomic_write(Path(args.out), json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -152,9 +145,7 @@ def rows_to_csv(rows) -> str:
 
 def cmd_sweep(args) -> int:
     rows = experiment.run_sweep(config.load_scenario(args.config))
-    out = Path(args.out)
-    _atomic_write(out, rows_to_csv(rows))
-    print(f"wrote {out} ({len(rows)} rows)")
+    _emit(args.out, rows_to_csv(rows), f" ({len(rows)} rows)")
     dp_rows = [r for r in rows if r.strategy == "optimal_dp"
                and r.improvement_pct is not None]
     if dp_rows:
@@ -167,20 +158,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gantt(args) -> int:
-    scenario = config.load_scenario(args.config)
-    timeline = experiment.run_cell(
-        args.strategy, experiment.build_tables(scenario, args.tokens))
-    labels = _device_labels(scenario)
-    title = f"{args.strategy} @ {args.tokens} tokens"
-    if args.format == "svg":
-        rendered = render_svg(timeline, labels, title=title)
-    else:
-        rendered = render_ascii(timeline, labels, title=title)
-    if args.out:
-        _atomic_write(Path(args.out), rendered)
-        print(f"wrote {args.out}")
-    else:
-        print(rendered, end="")
+    tables, labels = _load_cell(args)
+    render = render_svg if args.format == "svg" else render_ascii
+    _emit(args.out, render(experiment.run_cell(args.strategy, tables), labels,
+                           title=f"{args.strategy} @ {args.tokens} tokens"))
     return EXIT_OK
 
 
@@ -197,39 +178,32 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_config(args) -> int:
-    text = config.dump_scenario(config.load_scenario(args.config))
-    if args.out:
-        _atomic_write(Path(args.out), text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _emit(args.out, config.dump_scenario(config.load_scenario(args.config)))
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="coldpipe",
-                     description="Cold-start-aware pipeline scheduling for "
-                                 "LLM inference on heterogeneous edge devices.")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="coldpipe", description="Cold-start-aware pipeline scheduling for "
+                                     "LLM inference on heterogeneous edge devices.")
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", required=True)
+    cell = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    cell.add_argument("--tokens", type=_positive_int, required=True)
+    cell.add_argument("--strategy", default="optimal_dp", choices=baselines.STRATEGIES)
 
-    solve = sub.add_parser("solve", help="plan one cell and print the schedule")
-    solve.add_argument("--config", required=True)
-    solve.add_argument("--tokens", type=_positive_int, required=True)
-    solve.add_argument("--strategy", default="optimal_dp",
-                       choices=baselines.STRATEGIES)
+    solve = sub.add_parser("solve", parents=[cell],
+                           help="plan one cell and print the schedule")
     solve.add_argument("--out", help="also write plan + timeline as JSON")
     solve.set_defaults(func=cmd_solve)
 
-    sweep = sub.add_parser("sweep", help="run the configured sweep, write CSV")
-    sweep.add_argument("--config", required=True)
+    sweep = sub.add_parser("sweep", parents=[scenario],
+                           help="run the configured sweep, write CSV")
     sweep.add_argument("--out", default="sweep.csv")
     sweep.set_defaults(func=cmd_sweep)
 
-    gantt = sub.add_parser("gantt", help="render one cell as a Gantt chart")
-    gantt.add_argument("--config", required=True)
-    gantt.add_argument("--tokens", type=_positive_int, required=True)
-    gantt.add_argument("--strategy", default="optimal_dp",
-                       choices=baselines.STRATEGIES)
+    gantt = sub.add_parser("gantt", parents=[cell], help="render one cell as a Gantt chart")
     gantt.add_argument("--format", default="svg", choices=("svg", "ascii"))
     gantt.add_argument("--out", help="output file (default: stdout for ascii)")
     gantt.set_defaults(func=cmd_gantt)
@@ -240,8 +214,8 @@ def build_parser() -> _Parser:
     verify.add_argument("--count", type=_positive_int, default=100)
     verify.set_defaults(func=cmd_verify)
 
-    dump = sub.add_parser("dump-config", help="write a normalized config")
-    dump.add_argument("--config", required=True)
+    dump = sub.add_parser("dump-config", parents=[scenario],
+                          help="write a normalized config")
     dump.add_argument("--out")
     dump.set_defaults(func=cmd_dump_config)
 
@@ -249,11 +223,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:  # usage errors and --help
-        return err.code
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:  # --help exits 0; argparse's usage errors exit 2
+        return EXIT_USAGE if err.code == 2 else err.code
     try:
         code = args.func(args)
         sys.stdout.flush()

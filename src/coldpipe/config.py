@@ -205,13 +205,30 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return mapping
 
 
+def _reader_problem(raw: bytes, err: yaml.reader.ReaderError) -> str:
+    """A ReaderError's fault at a line and column.  Its position counts bytes
+    where decoding failed and decoded characters at a special character."""
+    if err.encoding == "unicode":
+        boms = {b"\xff\xfe": "utf-16-le", b"\xfe\xff": "utf-16-be"}
+        text = raw.decode(boms.get(raw[:2], "utf-8"))[:err.position]
+        what = f"character #x{err.character:04x}"
+    else:
+        text = raw[:err.position].decode(err.encoding)
+        what = f"byte 0x{err.character:02x}"
+    line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
+    return f"unacceptable {what}: {err.reason} (line {line}, column {column})"
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
+        raw = path.read_bytes()
         # bytes, so PyYAML decodes them and any encoding fault is a YAMLError
-        data = yaml.load(path.read_bytes(), Loader=_UniqueKeyLoader)
+        data = yaml.load(raw, Loader=_UniqueKeyLoader)
     except OSError as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
+    except yaml.reader.ReaderError as err:
+        raise ConfigError(f"{path}: invalid YAML: {_reader_problem(raw, err)}") from err
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""

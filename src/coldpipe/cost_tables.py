@@ -78,8 +78,6 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
     prefix_param = np.cumsum([0.0] + [p.param_bytes for p in profiles])
     prefix_work = np.cumsum([0.0] + [p.workload_flops for p in profiles])
     act = np.array([0.0] + [p.activation_bytes for p in profiles])
-    seg_param = prefix_param[None, :] - prefix_param[:, None]
-    seg_work = prefix_work[None, :] - prefix_work[:, None]
 
     disk = np.array([dev.disk_bytes_per_s for dev in devices])
     compute = np.array([effective_compute(dev, t) for dev in devices])
@@ -94,6 +92,24 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
     # A transfer goes through the access point: sender uplink, then
     # receiver downlink, at the slower of the two.
     min_link = np.minimum(up[:, None], down[None, :])
+
+    # No plan takes longer than the slowest whole-model load, plus every
+    # device computing the whole model, plus K of the largest transfers; a
+    # rate so small that this bound overflows would give inf plan times.
+    with np.errstate(over="ignore"):
+        terms = np.stack([prefix_param[-1] / disk, prefix_work[-1] / compute,
+                          num_devices * 8.0 * act.max() / np.minimum(up, down)])
+        bound = terms[0].max() + terms[1].sum() + terms[2].max()
+    if not np.isfinite(bound):
+        kind, d = np.unravel_index(np.argmax(terms), terms.shape)
+        what = (f"reading all {num_layers} layers from disk takes",
+                f"computing all {num_layers} layers takes",
+                f"{num_devices} transfers of the largest activation take")[kind]
+        raise ConfigError(f"device {devices[d].id}: {what} {terms[kind, d]:.3g} s, "
+                          f"too slow for plan times to stay finite")
+
+    seg_param = prefix_param[None, :] - prefix_param[:, None]
+    seg_work = prefix_work[None, :] - prefix_work[:, None]
 
     # footprint[i, j] = weights of layers i+1..j plus their largest
     # activation, built in place; +inf on empty segments (i >= j) fits nothing

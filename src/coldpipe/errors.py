@@ -7,7 +7,8 @@ class ColdpipeError(Exception):
 
 
 class ConfigError(ColdpipeError):
-    """Bad config: unreadable, malformed, unknown keys, zero compute or link rate."""
+    """Bad config: unreadable, malformed, unknown keys, zero compute or link
+    rate, or a rate so small that plan times overflow."""
 
 
 class LimitError(ColdpipeError, ValueError):

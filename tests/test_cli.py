@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -240,19 +241,27 @@ def _tab1_bytes(old: bytes, new: bytes) -> bytes:
     (b"model: [1, 2\n", "expected ',' or ']', but got '<stream end>' (line 2, column 1)"),
     # bytes that are no UTF-8 text, whatever the locale
     (_tab1_bytes(b"model:", b"model: \xff\xfe"),
-     "unacceptable character #x00ff: invalid start byte"),
+     "unacceptable byte 0xff: invalid start byte (line 1, column 8)"),
+    # a control character, placed after a two-byte character on its line
+    (_tab1_bytes(b"  h_kv: 8", b"  h_kv: \xc3\xa9\x078"),
+     "unacceptable character #x0007: special characters are not allowed "
+     "(line 4, column 10)"),
+    # the same in UTF-16, whose byte order mark PyYAML reads
+    (b"\xff\xfe" + _tab1_bytes(b"  h_kv: 8", b"  h_kv: \x078").decode().encode("utf-16-le"),
+     "unacceptable character #x0007: special characters are not allowed "
+     "(line 4, column 9)"),
     # a repeated key would silently replace device 1's 20 GB with 0.1 GB
     (_tab1_bytes(b"  memory_gb: 20.0\n", b"  memory_gb: 20.0\n  memory_gb: 0.1\n"),
      "duplicate key 'memory_gb' (line 24, column 3)"),
-], ids=["unclosed_flow", "not_utf8", "repeated_key"])
+], ids=["unclosed_flow", "not_utf8", "control_char", "control_char_utf16",
+     "repeated_key"])
 def test_malformed_yaml_is_one_line_config_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_bytes(text)
     code, out, err = run(["solve", "--config", str(cfg), "--tokens", "2048"], capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"config error: {cfg}: invalid YAML: {message}")
-    assert err.count("\n") == 1
+    assert err == f"config error: {cfg}: invalid YAML: {message}\n"
 
 
 def test_model_preset_is_unknown_key(tmp_path, capsys):
@@ -286,6 +295,32 @@ def test_zero_link_rate_is_config_error(tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert "config error" in err and "device 2" in err and "link rate" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--tokens", "2048"],
+    ["solve", "--tokens", "2048", "--strategy", "even"],
+    ["sweep", "--out", "r.csv"],
+    ["gantt", "--tokens", "2048", "--strategy", "even", "--format", "ascii"],
+    ["gantt", "--tokens", "2048", "--strategy", "even", "--format", "svg"],
+], ids=["solve", "solve-even", "sweep", "gantt-ascii", "gantt-svg"])
+@pytest.mark.parametrize("old, new, what", [
+    ("peak_tflops: 165.0", "peak_tflops: 1.0e-310", "computing all 40 layers takes inf s"),
+    ("disk_read_mb_s: 5000.0", "disk_read_mb_s: 1.0e-310",
+     "reading all 40 layers from disk takes inf s"),
+], ids=["compute", "disk"])
+def test_rate_too_small_for_finite_plan_times_is_config_error(
+        tmp_path, capsys, monkeypatch, command, old, new, what):
+    monkeypatch.chdir(tmp_path)
+    cfg = _edited_tab1(tmp_path, old, new)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning included
+        code, out, err = run([*command, "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"config error: device 1: {what}, "
+                   "too slow for plan times to stay finite\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("command", [["solve", "--tokens", "2048"], ["sweep", "--out", "r.csv"]],

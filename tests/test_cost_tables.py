@@ -137,6 +137,19 @@ def test_build_rejects_degenerate_compute():
         make_tables(triples(2), [make_device(rate=1e-300)])
 
 
+@pytest.mark.parametrize("slow, message", [
+    (dict(peak=1e-310), "device 2: computing all 3 layers takes inf s"),
+    (dict(disk=1e-304), "device 2: reading all 3 layers from disk takes inf s"),
+    # a finite link rate near 3.5e-303 bits/s
+    (dict(bandwidth=1e-304, noise=2800.0),
+     "device 2: 2 transfers of the largest activation take inf s"),
+], ids=["compute", "disk", "link"])
+def test_build_rejects_rates_whose_plan_times_overflow(slow, message):
+    from coldpipe.errors import ConfigError
+    with pytest.raises(ConfigError, match=f"^{message}, too slow"):
+        make_tables([(1e9, 1e6, 1e6)] * 3, [make_device(0), make_device(1, **slow)])
+
+
 def test_outputs_positive(tab1_tables):
     tables = tab1_tables(256)
     assert tables.load_s[3, 0, 40] > 0

@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", default="sweep.csv")
     sweep.set_defaults(func=cmd_sweep)
 
-    gantt = sub.add_parser("gantt", parents=[cell], help="render one cell as a Gantt chart")
+    gantt = sub.add_parser("gantt", parents=[cell],
+                           help="render one cell as a Gantt chart")
     gantt.add_argument("--format", default="svg", choices=("svg", "ascii"))
     gantt.add_argument("--out", help="output file (default: stdout for ascii)")
     gantt.set_defaults(func=cmd_gantt)

@@ -215,8 +215,9 @@ def _reader_problem(raw: bytes, err: yaml.reader.ReaderError) -> str:
     else:
         text = raw[:err.position].decode(err.encoding)
         what = f"byte 0x{err.character:02x}"
-    line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
-    return f"unacceptable {what}: {err.reason} (line {line}, column {column})"
+    lines = (text + ".").splitlines()  # "." stands for the faulty character
+    where = f"line {len(lines)}, column {len(lines[-1])}"
+    return f"unacceptable {what}: {err.reason} ({where})"
 
 
 def load_scenario(path: str | Path) -> Scenario:

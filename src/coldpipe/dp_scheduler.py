@@ -4,9 +4,16 @@ assignments.
 State space: (T, j, d) = minimum completion time after scheduling layers
 1..j, the segment ending at layer j running on device d and the earlier
 segments on the device subset T, d not in T.  T = 0 holds the one-stage
-plans.  Subsets are bitmasks, so predecessor sets are processed in
-increasing numeric order (T minus any device precedes T) and the whole
-(d, j) block for one T is computed in a single vectorized step.
+plans.  Subsets are bitmasks, filled level by level, one popcount |T| at a
+time, and the whole (d, j) block for one T is computed in a single
+vectorized step.  T's block reads only states of the level before,
+(T - {p}, i, p), and writes only its own states (T, j, d), which no other
+T's block writes.  So the blocks of one level are independent: a level
+whose blocks reach MIN_THREADED_BLOCK candidates is dealt in contiguous
+slices to the calling thread and one helper thread per further CPU, and
+joined before the next level reads it.  numpy releases the GIL in the
+block arithmetic and the argmin; smaller levels run on the calling thread
+alone, and small fills start no thread.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
@@ -28,12 +35,22 @@ the next element of the key.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .cost_tables import MAX_TABLE_BYTES, CostTables
 from .errors import InfeasibleError, LimitError, PlanError
+
+
+# Candidate elements of one block, |T| * (K - |T|) * (L+1)**2, below which
+# a level runs on the calling thread alone.  Measured on 2 vCPUs at L = 60:
+# K = 8's largest blocks (59,536) gained nothing on two threads, K = 10's
+# (78,141 to 93,025) ran 1.2-1.4x faster.
+MIN_THREADED_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -140,13 +157,26 @@ class SolveResult:
     plan: Plan
 
 
+def worker_count() -> int:
+    """CPUs this process may run on: the fill's workers on a large level."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def compute_table(tables: CostTables) -> DpTable:
-    """Fill the full (T, j, d) table bottom-up; raises LimitError, before
-    any allocation, when the tables and the fill's scratch pass
-    MAX_TABLE_BYTES.  The limit admits K <= 19 devices at 40 or 60 layers."""
+    """Fill the full (T, j, d) table bottom-up, one popcount of T at a time;
+    raises LimitError, before any allocation, when the tables and the
+    fill's scratch pass MAX_TABLE_BYTES.  The limit admits K <= 19 devices
+    at 40 or 60 layers on fewer than 300 CPUs."""
     L, K = tables.num_layers, tables.num_devices
-    # scratch: comp_or_inf, the largest candidate block and argmin's copy of it
-    need = table_bytes(K, L) + 8 * (L + 1) ** 2 * (K + 2 * (K * K // 4))
+    size = (L + 1) ** 2
+    block_len = K * K // 4 * size  # the largest block, at |T| = K // 2
+    workers = worker_count() if block_len >= MIN_THREADED_BLOCK else 1
+    # scratch: comp_or_inf, then per worker a block and argmin's copy of the
+    # larger half of one (blocks are split over d)
+    half_len = max(n * ((K - n + 1) // 2) for n in range(K)) * size
+    need = table_bytes(K, L) + 8 * (K * size + workers * (block_len + half_len))
     if need > MAX_TABLE_BYTES:
         raise LimitError(
             f"{K} devices and {L} layers need {need:,} bytes of DP tables and "
@@ -165,30 +195,64 @@ def compute_table(tables: CostTables) -> DpTable:
     values[0] = (tables.load_s[:, 0, :] + comp_or_inf[:, 0, :]).T
     split[0][values[0] < np.inf] = 0
 
-    # One candidate block per T, (next device d, split i, predecessor p, j).
-    # The predecessor states (T - {p}, i, p) sit at rows squeeze(T, p), the
-    # states filled, (T, j, d), at rows squeeze(T, d).
-    block = np.empty(K * K // 4 * (L + 1) ** 2)  # room for the largest |T| * (K - |T|)
     below = (1 << np.arange(K)) - 1  # squeeze's masks for every d, made once
     above = ~below                   # rather than once per step
-    for t_mask in range(1, (1 << K) - 1):
-        preds = np.array([p for p in range(K) if (t_mask >> p) & 1])
-        nexts = np.array([d for d in range(K) if not (t_mask >> d) & 1])
-        n, m = len(preds), len(nexts)
-        row_of = (t_mask & below) | ((t_mask >> 1) & above)  # squeeze(T, each d)
-        prev = values[row_of[preds], :, preds].T  # (i, p)
-        cand = block[:m * (L + 1) * n * (L + 1)].reshape(m, L + 1, n, L + 1)
-        np.maximum(tables.load_s[nexts][:, :, None, :], prev[:, :, None], out=cand)
-        cand += tables.comm_s[np.ix_(preds, nexts)].transpose(1, 2, 0)[..., None]
-        cand += comp_or_inf[nexts][:, :, None, :]
-        rows = cand.reshape(m, (L + 1) * n, L + 1)
-        best = rows.argmin(axis=1)  # (d, j)
-        vals = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
-        reached = vals < np.inf
-        out = row_of[nexts]
-        values[out, :, nexts] = vals
-        split[out, :, nexts] = np.where(reached, best // n, -1)
-        prev_device[out, :, nexts] = np.where(reached, preds[best % n], -1)
+
+    def fill(level: list[tuple[int, ...]], block: np.ndarray) -> None:
+        """One candidate block per T, (next device d, split i, predecessor
+        p, j).  The predecessor states (T - {p}, i, p) sit at rows
+        squeeze(T, p), the states filled, (T, j, d), at rows squeeze(T, d)."""
+        for members in level:
+            t_mask = sum(1 << p for p in members)
+            preds = np.array(members)
+            nexts = np.array([d for d in range(K) if d not in members])
+            n, m = len(preds), len(nexts)
+            row_of = (t_mask & below) | ((t_mask >> 1) & above)  # squeeze(T, each d)
+            prev = values[row_of[preds], :, preds].T  # (i, p)
+            cand = block[:m * (L + 1) * n * (L + 1)].reshape(m, L + 1, n, L + 1)
+            np.maximum(tables.load_s[nexts][:, :, None, :], prev[:, :, None], out=cand)
+            cand += tables.comm_s[np.ix_(preds, nexts)].transpose(1, 2, 0)[..., None]
+            cand += comp_or_inf[nexts][:, :, None, :]
+            rows = cand.reshape(m, (L + 1) * n, L + 1)
+            # argmin copies its input with the reduced axis last; halves
+            # over d halve that copy
+            best = np.empty((m, L + 1), dtype=np.intp)  # (d, j)
+            for half in (slice(0, (m + 1) // 2), slice((m + 1) // 2, m)):
+                rows[half].argmin(axis=1, out=best[half])
+            vals = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
+            reached = vals < np.inf
+            out = row_of[nexts]
+            values[out, :, nexts] = vals
+            split[out, :, nexts] = np.where(reached, best // n, -1)
+            prev_device[out, :, nexts] = np.where(reached, preds[best % n], -1)
+
+    failures: list[BaseException] = []
+
+    def help_fill(level: list[tuple[int, ...]], block: np.ndarray) -> None:
+        try:
+            fill(level, block)
+        except BaseException as err:  # re-raised by the calling thread
+            failures.append(err)
+
+    blocks = [np.empty(block_len) for _ in range(workers)]
+    for n in range(1, K):
+        level = list(combinations(range(K), n))
+        share = min(workers, len(level)) if n * (K - n) * size >= MIN_THREADED_BLOCK else 1
+        # contiguous slices: neighbours in combination order write the same
+        # rows of the tables, which would bounce cache lines between workers
+        parts = [level[w * len(level) // share:(w + 1) * len(level) // share]
+                 for w in range(share)]
+        helpers = [threading.Thread(target=help_fill, args=(parts[w], blocks[w]))
+                   for w in range(1, share)]
+        for helper in helpers:
+            helper.start()
+        try:
+            fill(parts[0], blocks[0])
+        finally:
+            for helper in helpers:
+                helper.join()
+        if failures:
+            raise failures[0]
 
     return DpTable(values=values, split=split, prev_device=prev_device,
                    num_layers=L, num_devices=K)

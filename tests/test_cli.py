@@ -272,10 +272,15 @@ def test_model_preset_is_unknown_key(tmp_path, capsys):
     assert err == "config error: model.preset: unknown key\n"
 
 
-def test_closed_stdout_exits_quietly():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def src_env():
+    """The environment with this tree's src/ first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(TAB1_CONFIG.parents[1] / "src"),
                       os.environ.get("PYTHONPATH")]))}
+
+
+def test_closed_stdout_exits_quietly():
+    env = src_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "coldpipe.cli", "solve", "--config", CONFIG,
          "--tokens", "2048"],
@@ -285,6 +290,16 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_cli_start_loads_no_executor():
+    # concurrent.futures costs milliseconds and memory at every start; the
+    # DP fill's helpers are plain threads
+    probe = ("import sys, coldpipe.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=src_env(), timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_zero_link_rate_is_config_error(tmp_path, capsys):

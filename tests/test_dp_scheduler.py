@@ -1,5 +1,8 @@
 import dataclasses
+import hashlib
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -35,7 +38,7 @@ def make_tables_from_scenario(sc, t):
     return cost_tables.build(build_profiles(sc.model, t), list(sc.devices), t)
 
 
-def test_table_bytes_estimate():
+def test_table_bytes_estimate(monkeypatch):
     # float64 values plus two back-pointer tables, (2**(K-1), L+1, K) each;
     # the back-pointers are int8 up to L = 128 and int16 past it
     assert table_bytes(4, 40) == 8 * 41 * 4 * (8 + 1 + 1) == 13_120
@@ -44,9 +47,10 @@ def test_table_bytes_estimate():
     # the byte limit admits K <= 19 at L=60 and at L=40
     assert table_bytes(19, 60) == 3_038_248_960
     assert table_bytes(19, 40) == 2_042_101_760
-    for num_devices, num_layers, need in ((20, 60, "6,402,862,560"),
-                                          (20, 40, "4,302,120,160"),
-                                          (25, 10, "46,137,670,216")):
+    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 2)
+    for num_devices, num_layers, need in ((20, 60, "6,406,137,040"),
+                                          (20, 40, "4,303,599,440"),
+                                          (25, 10, "46,137,600,520")):
         tables = make_tables([(1e12, 1e6, 5e8)] * num_layers,
                              [make_device(i) for i in range(num_devices)])
         with pytest.raises(LimitError, match=f"need {need} bytes .* {MAX_TABLE_BYTES:,} bytes"):
@@ -63,12 +67,13 @@ def deep_tab1(model, fleet, num_layers, t=2048):
 
 def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
     # the DP tables are 230,784 bytes; comp_or_inf, the candidate block and
-    # argmin's copy of it bring the count to 34,906,080
+    # argmin's copy of the larger half of one bring the count to 32,016,472
     tables = deep_tab1(qwen_cfg, fleet, 600)
     monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES", 30_000_000)
+    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 1)
     tracemalloc.start()
     try:
-        with pytest.raises(LimitError, match="need 34,906,080 bytes"):
+        with pytest.raises(LimitError, match="need 32,016,472 bytes"):
             compute_table(tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -76,14 +81,23 @@ def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
     assert peak < 1e6
 
 
-@pytest.mark.parametrize("num_devices", [2, 3, 4])
-def test_fill_peak_matches_the_count(qwen_cfg, fleet, num_devices):
+def half_block_units(num_devices):
+    """|T| * ceil((K - |T|) / 2) at its largest: argmin's copy of half a block."""
+    return max(n * -(-(num_devices - n) // 2) for n in range(1, num_devices))
+
+
+@pytest.mark.parametrize("num_devices, workers", [
+    pytest.param(2, 1, id="2"), pytest.param(3, 1, id="3"), pytest.param(4, 1, id="4"),
+    pytest.param(4, 2, id="4-two-workers")])
+def test_fill_peak_matches_the_count(monkeypatch, qwen_cfg, fleet, num_devices, workers):
     # the refusal is only as good as the count: the fill's traced peak
-    # stays within 5% of it
+    # stays within 5% of it, one block and one half-block copy per worker
     num_layers = 400
     tables = deep_tab1(qwen_cfg, fleet[:num_devices], num_layers)
+    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: workers)
+    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
     count = table_bytes(num_devices, num_layers) + 8 * (num_layers + 1) ** 2 * (
-        num_devices + 2 * (num_devices ** 2 // 4))
+        num_devices + workers * (num_devices ** 2 // 4 + half_block_units(num_devices)))
     tracemalloc.start()
     try:
         compute_table(tables)
@@ -423,6 +437,52 @@ def test_more_memory_never_raises_optimum(k8_fleet):
         roomier = list(devices[:8])
         roomier[d] = dataclasses.replace(roomier[d], memory_bytes=2 * roomier[d].memory_bytes)
         assert solve(make_tables(layers, roomier)).makespan_s <= base.makespan_s
+
+
+@pytest.mark.parametrize("num_devices", [6, 7, 8])
+def test_fill_is_identical_on_any_worker_count(monkeypatch, num_devices):
+    # each level's blocks write disjoint states and read only the level
+    # before, so the tables cannot depend on how the blocks are dealt
+    layers, devices = _metamorphic_fleet(num_devices, num_devices)
+    tables = make_tables(layers, devices)
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
+    digests = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dp_scheduler, "worker_count", lambda: workers)
+            started.clear()
+            table = compute_table(tables)
+            # every level deals its blocks to the calling thread and helpers
+            assert len(started) == (workers - 1) * (num_devices - 1)
+            digests[workers] = [hashlib.sha256(a.tobytes()).hexdigest()
+                                for a in (table.values, table.split, table.prev_device)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests[2] == digests[1] and digests[3] == digests[1]
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_small_fills_start_no_thread(monkeypatch, tab1_tables):
+    # the sweep's and verify's fills are far below the helper threshold,
+    # however many CPUs the host has
+    def refuse(*args, **kwargs):
+        raise AssertionError("a small fill started a thread")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 64)
+    compute_table(tab1_tables())
+    for instance in random_instance_suite(100, 0):
+        compute_table(suite_tables(instance))
 
 
 @pytest.mark.parametrize("layers_per_device", [8, 12, 20, 61])

@@ -199,25 +199,28 @@ def compute_table(tables: CostTables) -> DpTable:
     above = ~below                   # rather than once per step
 
     def fill(level: list[tuple[int, ...]], block: np.ndarray) -> None:
-        """One candidate block per T, (next device d, split i, predecessor
-        p, j).  The predecessor states (T - {p}, i, p) sit at rows
-        squeeze(T, p), the states filled, (T, j, d), at rows squeeze(T, d)."""
+        """One candidate block per T of one level, (next device d, split i,
+        predecessor p, j).  The predecessor states (T - {p}, i, p) sit at
+        rows squeeze(T, p), the states filled, (T, j, d), at rows
+        squeeze(T, d)."""
+        n = len(level[0])
+        m = K - n
+        cand = block[:m * (L + 1) * n * (L + 1)].reshape(m, L + 1, n, L + 1)
+        rows = cand.reshape(m, (L + 1) * n, L + 1)
+        # argmin copies its input with the reduced axis last; halves over d
+        # halve that copy
+        halves = (slice(0, (m + 1) // 2), slice((m + 1) // 2, m))
+        best = np.empty((m, L + 1), dtype=np.intp)  # (d, j)
         for members in level:
             t_mask = sum(1 << p for p in members)
             preds = np.array(members)
             nexts = np.array([d for d in range(K) if d not in members])
-            n, m = len(preds), len(nexts)
             row_of = (t_mask & below) | ((t_mask >> 1) & above)  # squeeze(T, each d)
             prev = values[row_of[preds], :, preds].T  # (i, p)
-            cand = block[:m * (L + 1) * n * (L + 1)].reshape(m, L + 1, n, L + 1)
             np.maximum(tables.load_s[nexts][:, :, None, :], prev[:, :, None], out=cand)
             cand += tables.comm_s[np.ix_(preds, nexts)].transpose(1, 2, 0)[..., None]
             cand += comp_or_inf[nexts][:, :, None, :]
-            rows = cand.reshape(m, (L + 1) * n, L + 1)
-            # argmin copies its input with the reduced axis last; halves
-            # over d halve that copy
-            best = np.empty((m, L + 1), dtype=np.intp)  # (d, j)
-            for half in (slice(0, (m + 1) // 2), slice((m + 1) // 2, m)):
+            for half in halves:
                 rows[half].argmin(axis=1, out=best[half])
             vals = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
             reached = vals < np.inf

@@ -472,6 +472,24 @@ def test_fill_is_identical_on_any_worker_count(monkeypatch, num_devices):
     assert not any(thread.is_alive() for thread in started)
 
 
+def test_helper_failure_reaches_the_caller(monkeypatch):
+    # a helper that dies must not leave its states at +inf unnoticed
+    layers, devices = _metamorphic_fleet(0, 6)
+    tables = make_tables(layers, devices)
+    take_along_axis = np.take_along_axis
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("no memory in the helper")
+        return take_along_axis(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take_along_axis", failing)
+    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 2)
+    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
+    with pytest.raises(MemoryError, match="no memory in the helper"):
+        compute_table(tables)
+
+
 def test_small_fills_start_no_thread(monkeypatch, tab1_tables):
     # the sweep's and verify's fills are far below the helper threshold,
     # however many CPUs the host has

@@ -167,13 +167,14 @@ def cmd_gantt(args) -> int:
 
 def cmd_verify(args) -> int:
     instances = experiment.random_instance_suite(args.count, seed=args.seed)
-    outcomes = experiment.verify_suite(instances)
     failures = 0
-    for o in outcomes:
+    for index, instance in enumerate(instances):
+        # one instance per check, each line printed as soon as it is known
+        (o,) = experiment.verify_suite([instance])
         status = "ok" if o.ok else "MISMATCH"
-        print(f"instance {o.index:03d}: {status} ({o.detail})")
+        print(f"instance {index:03d}: {status} ({o.detail})", flush=True)
         failures += 0 if o.ok else 1
-    print(f"{len(outcomes) - failures}/{len(outcomes)} instances passed")
+    print(f"{len(instances) - failures}/{len(instances)} instances passed")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 

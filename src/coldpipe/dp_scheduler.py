@@ -10,10 +10,11 @@ vectorized step.  T's block reads only states of the level before,
 (T - {p}, i, p), and writes only its own states (T, j, d), which no other
 T's block writes.  So the blocks of one level are independent: a level
 whose blocks reach MIN_THREADED_BLOCK candidates is dealt in contiguous
-slices to the calling thread and one helper thread per further CPU, and
-joined before the next level reads it.  numpy releases the GIL in the
-block arithmetic and the argmin; smaller levels run on the calling thread
-alone, and small fills start no thread.
+slices to the calling thread and one helper thread per further CPU, as
+many as MAX_TABLE_BYTES has room for, and joined before the next level
+reads it.  numpy releases the GIL in the block arithmetic and the argmin;
+smaller levels run on the calling thread alone, and small fills start no
+thread.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
@@ -158,7 +159,7 @@ class SolveResult:
 
 
 def worker_count() -> int:
-    """CPUs this process may run on: the fill's workers on a large level."""
+    """CPUs this process may run on: the most workers a large level gets."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -166,21 +167,21 @@ def worker_count() -> int:
 
 def compute_table(tables: CostTables) -> DpTable:
     """Fill the full (T, j, d) table bottom-up, one popcount of T at a time;
-    raises LimitError, before any allocation, when the tables and the
-    fill's scratch pass MAX_TABLE_BYTES.  The limit admits K <= 19 devices
-    at 40 or 60 layers on fewer than 300 CPUs."""
+    raises LimitError, before any allocation, when the tables and one
+    worker's scratch pass MAX_TABLE_BYTES, and runs only as many workers as
+    fit.  The limit admits K <= 19 devices at 40 or 60 layers."""
     L, K = tables.num_layers, tables.num_devices
     size = (L + 1) ** 2
-    block_len = K * K // 4 * size  # the largest block, at |T| = K // 2
-    workers = worker_count() if block_len >= MIN_THREADED_BLOCK else 1
-    # scratch: comp_or_inf, then per worker a block and argmin's copy of the
-    # larger half of one (blocks are split over d)
-    half_len = max(n * ((K - n + 1) // 2) for n in range(K)) * size
-    need = table_bytes(K, L) + 8 * (K * size + workers * (block_len + half_len))
+    # a worker's scratch: its level's block and argmin's copy of the larger
+    # half of it (blocks are split over d), at the level where they are largest
+    per_worker = 8 * size * max(n * (K - n + (K - n + 1) // 2) for n in range(K))
+    need = table_bytes(K, L) + 8 * K * size + per_worker  # comp_or_inf, one worker
     if need > MAX_TABLE_BYTES:
         raise LimitError(
             f"{K} devices and {L} layers need {need:,} bytes of DP tables and "
             f"scratch, over the limit of {MAX_TABLE_BYTES:,} bytes")
+    # one device fills no level and has no scratch
+    workers = min(worker_count(), 1 + (MAX_TABLE_BYTES - need) // max(per_worker, 1))
 
     # Infeasible segments cost +inf.
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
@@ -197,47 +198,42 @@ def compute_table(tables: CostTables) -> DpTable:
 
     below = (1 << np.arange(K)) - 1  # squeeze's masks for every d, made once
     above = ~below                   # rather than once per step
+    failures: list[BaseException] = []
 
-    def fill(level: list[tuple[int, ...]], block: np.ndarray) -> None:
+    def fill(level: list[tuple[int, ...]]) -> None:
         """One candidate block per T of one level, (next device d, split i,
         predecessor p, j).  The predecessor states (T - {p}, i, p) sit at
         rows squeeze(T, p), the states filled, (T, j, d), at rows
-        squeeze(T, d)."""
-        n = len(level[0])
-        m = K - n
-        cand = block[:m * (L + 1) * n * (L + 1)].reshape(m, L + 1, n, L + 1)
-        rows = cand.reshape(m, (L + 1) * n, L + 1)
-        # argmin copies its input with the reduced axis last; halves over d
-        # halve that copy
-        halves = (slice(0, (m + 1) // 2), slice((m + 1) // 2, m))
-        best = np.empty((m, L + 1), dtype=np.intp)  # (d, j)
-        for members in level:
-            t_mask = sum(1 << p for p in members)
-            preds = np.array(members)
-            nexts = np.array([d for d in range(K) if d not in members])
-            row_of = (t_mask & below) | ((t_mask >> 1) & above)  # squeeze(T, each d)
-            prev = values[row_of[preds], :, preds].T  # (i, p)
-            np.maximum(tables.load_s[nexts][:, :, None, :], prev[:, :, None], out=cand)
-            cand += tables.comm_s[np.ix_(preds, nexts)].transpose(1, 2, 0)[..., None]
-            cand += comp_or_inf[nexts][:, :, None, :]
-            for half in halves:
-                rows[half].argmin(axis=1, out=best[half])
-            vals = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
-            reached = vals < np.inf
-            out = row_of[nexts]
-            values[out, :, nexts] = vals
-            split[out, :, nexts] = np.where(reached, best // n, -1)
-            prev_device[out, :, nexts] = np.where(reached, preds[best % n], -1)
-
-    failures: list[BaseException] = []
-
-    def help_fill(level: list[tuple[int, ...]], block: np.ndarray) -> None:
+        squeeze(T, d).  An exception is kept for the calling thread."""
         try:
-            fill(level, block)
+            n = len(level[0])
+            m = K - n
+            cand = np.empty((m, L + 1, n, L + 1))
+            rows = cand.reshape(m, (L + 1) * n, L + 1)
+            # argmin copies its input with the reduced axis last; halves over
+            # d halve that copy
+            halves = (slice(0, (m + 1) // 2), slice((m + 1) // 2, m))
+            best = np.empty((m, L + 1), dtype=np.intp)  # (d, j)
+            for members in level:
+                t_mask = sum(1 << p for p in members)
+                preds = np.array(members)
+                nexts = np.array([d for d in range(K) if d not in members])
+                row_of = (t_mask & below) | ((t_mask >> 1) & above)  # squeeze(T, each d)
+                prev = values[row_of[preds], :, preds].T  # (i, p)
+                np.maximum(tables.load_s[nexts][:, :, None, :], prev[:, :, None], out=cand)
+                cand += tables.comm_s[np.ix_(preds, nexts)].transpose(1, 2, 0)[..., None]
+                cand += comp_or_inf[nexts][:, :, None, :]
+                for half in halves:
+                    rows[half].argmin(axis=1, out=best[half])
+                vals = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
+                reached = vals < np.inf
+                out = row_of[nexts]
+                values[out, :, nexts] = vals
+                split[out, :, nexts] = np.where(reached, best // n, -1)
+                prev_device[out, :, nexts] = np.where(reached, preds[best % n], -1)
         except BaseException as err:  # re-raised by the calling thread
             failures.append(err)
 
-    blocks = [np.empty(block_len) for _ in range(workers)]
     for n in range(1, K):
         level = list(combinations(range(K), n))
         share = min(workers, len(level)) if n * (K - n) * size >= MIN_THREADED_BLOCK else 1
@@ -245,15 +241,12 @@ def compute_table(tables: CostTables) -> DpTable:
         # rows of the tables, which would bounce cache lines between workers
         parts = [level[w * len(level) // share:(w + 1) * len(level) // share]
                  for w in range(share)]
-        helpers = [threading.Thread(target=help_fill, args=(parts[w], blocks[w]))
-                   for w in range(1, share)]
+        helpers = [threading.Thread(target=fill, args=(part,)) for part in parts[1:]]
         for helper in helpers:
             helper.start()
-        try:
-            fill(parts[0], blocks[0])
-        finally:
-            for helper in helpers:
-                helper.join()
+        fill(parts[0])
+        for helper in helpers:
+            helper.join()
         if failures:
             raise failures[0]
 

@@ -170,6 +170,25 @@ def test_verify_smoke(capsys):
     assert "5/5 instances passed" in out
 
 
+def test_verify_prints_each_instance_once_checked(capsys, monkeypatch):
+    # `verify | head -1` must not wait for the whole suite: the first line
+    # is out before the second instance is checked
+    from coldpipe import baselines
+
+    true_brute_force, calls = baselines.brute_force, []
+
+    def second_call_fails(tables):
+        calls.append(tables)
+        if len(calls) == 2:
+            raise RuntimeError("the second instance")
+        return true_brute_force(tables)
+
+    monkeypatch.setattr(baselines, "brute_force", second_call_fails)
+    with pytest.raises(RuntimeError, match="the second instance"):
+        main(["verify", "--count", "3"])
+    assert capsys.readouterr().out.startswith("instance 000: ok (")
+
+
 def test_verify_zero_count_usage_error(capsys):
     code, _, _ = run(["verify", "--count", "0"], capsys)
     assert code == 1

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 import sys
 import threading
@@ -47,14 +48,17 @@ def test_table_bytes_estimate(monkeypatch):
     # the byte limit admits K <= 19 at L=60 and at L=40
     assert table_bytes(19, 60) == 3_038_248_960
     assert table_bytes(19, 40) == 2_042_101_760
-    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 2)
-    for num_devices, num_layers, need in ((20, 60, "6,406,137,040"),
-                                          (20, 40, "4,303,599,440"),
+    # past it, the tables and one worker's scratch are refused on any host
+    for num_devices, num_layers, need in ((20, 60, "6,401,493,232"),
+                                          (20, 40, "4,301,501,552"),
                                           (25, 10, "46,137,600,520")):
         tables = make_tables([(1e12, 1e6, 5e8)] * num_layers,
                              [make_device(i) for i in range(num_devices)])
-        with pytest.raises(LimitError, match=f"need {need} bytes .* {MAX_TABLE_BYTES:,} bytes"):
-            compute_table(tables)
+        for cpus in (1, 2, 64):
+            monkeypatch.setattr(dp_scheduler, "worker_count", lambda: cpus)
+            with pytest.raises(LimitError,
+                               match=f"need {need} bytes .* {MAX_TABLE_BYTES:,} bytes"):
+                compute_table(tables)
     with pytest.raises(ValueError):
         table_bytes(0, 10)
 
@@ -66,14 +70,14 @@ def deep_tab1(model, fleet, num_layers, t=2048):
 
 
 def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
-    # the DP tables are 230,784 bytes; comp_or_inf, the candidate block and
-    # argmin's copy of the larger half of one bring the count to 32,016,472
+    # the DP tables are 230,784 bytes; comp_or_inf (4 units of 601**2
+    # doubles) and one worker's block and argmin's half copy (4 + 2 units at
+    # |T| = 2) bring the count to 230,784 + 8 * 361,201 * 10 = 29,126,864
     tables = deep_tab1(qwen_cfg, fleet, 600)
-    monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES", 30_000_000)
-    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 1)
+    monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES", 29_000_000)
     tracemalloc.start()
     try:
-        with pytest.raises(LimitError, match="need 32,016,472 bytes"):
+        with pytest.raises(LimitError, match="need 29,126,864 bytes"):
             compute_table(tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -81,9 +85,19 @@ def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
     assert peak < 1e6
 
 
-def half_block_units(num_devices):
-    """|T| * ceil((K - |T|) / 2) at its largest: argmin's copy of half a block."""
-    return max(n * -(-(num_devices - n) // 2) for n in range(1, num_devices))
+def worker_bytes(num_devices, num_layers):
+    """One worker's scratch: a level's block, |T| * (K - |T|) units of
+    (L+1)**2 doubles, and argmin's copy of its larger half, |T| *
+    ceil((K - |T|) / 2), at the level where the two are largest."""
+    return 8 * (num_layers + 1) ** 2 * max(
+        n * (num_devices - n + math.ceil((num_devices - n) / 2))
+        for n in range(1, num_devices))
+
+
+def fill_bytes(num_devices, num_layers, workers=1):
+    """The tables, comp_or_inf and the scratch of the given workers."""
+    return (table_bytes(num_devices, num_layers) + 8 * (num_layers + 1) ** 2 * num_devices
+            + workers * worker_bytes(num_devices, num_layers))
 
 
 @pytest.mark.parametrize("num_devices, workers", [
@@ -96,8 +110,7 @@ def test_fill_peak_matches_the_count(monkeypatch, qwen_cfg, fleet, num_devices, 
     tables = deep_tab1(qwen_cfg, fleet[:num_devices], num_layers)
     monkeypatch.setattr(dp_scheduler, "worker_count", lambda: workers)
     monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
-    count = table_bytes(num_devices, num_layers) + 8 * (num_layers + 1) ** 2 * (
-        num_devices + workers * (num_devices ** 2 // 4 + half_block_units(num_devices)))
+    count = fill_bytes(num_devices, num_layers, workers)
     tracemalloc.start()
     try:
         compute_table(tables)
@@ -439,21 +452,33 @@ def test_more_memory_never_raises_optimum(k8_fleet):
         assert solve(make_tables(layers, roomier)).makespan_s <= base.makespan_s
 
 
-@pytest.mark.parametrize("num_devices", [6, 7, 8])
-def test_fill_is_identical_on_any_worker_count(monkeypatch, num_devices):
-    # each level's blocks write disjoint states and read only the level
-    # before, so the tables cannot depend on how the blocks are dealt
-    layers, devices = _metamorphic_fleet(num_devices, num_devices)
-    tables = make_tables(layers, devices)
-    started = []
+def table_digests(table):
+    return [hashlib.sha256(a.tobytes()).hexdigest()
+            for a in (table.values, table.split, table.prev_device)]
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The helper threads the fill starts, with every level large enough
+    to deal to them."""
+    threads = []
 
     class CountedThread(threading.Thread):
         def start(self):
-            started.append(self)
+            threads.append(self)
             super().start()
 
     monkeypatch.setattr(threading, "Thread", CountedThread)
     monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
+    return threads
+
+
+@pytest.mark.parametrize("num_devices", [6, 7, 8])
+def test_fill_is_identical_on_any_worker_count(monkeypatch, started, num_devices):
+    # each level's blocks write disjoint states and read only the level
+    # before, so the tables cannot depend on how the blocks are dealt
+    layers, devices = _metamorphic_fleet(num_devices, num_devices)
+    tables = make_tables(layers, devices)
     digests = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -464,12 +489,28 @@ def test_fill_is_identical_on_any_worker_count(monkeypatch, num_devices):
             table = compute_table(tables)
             # every level deals its blocks to the calling thread and helpers
             assert len(started) == (workers - 1) * (num_devices - 1)
-            digests[workers] = [hashlib.sha256(a.tobytes()).hexdigest()
-                                for a in (table.values, table.split, table.prev_device)]
+            digests[workers] = table_digests(table)
     finally:
         sys.setswitchinterval(interval)
     assert digests[2] == digests[1] and digests[3] == digests[1]
     assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("fitting", [1, 2, 3])
+def test_fill_runs_only_the_workers_that_fit(monkeypatch, started, fitting):
+    # four CPUs, but a byte limit with room for the scratch of `fitting`
+    # workers only: the fill runs that many, not a refusal
+    num_devices = 7
+    layers, devices = _metamorphic_fleet(num_devices, num_devices)
+    tables = make_tables(layers, devices)
+    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 1)
+    expected = table_digests(compute_table(tables))
+    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 4)
+    monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES",
+                        fill_bytes(num_devices, len(layers), fitting + 1) - 1)
+    table = compute_table(tables)
+    assert len(started) == (fitting - 1) * (num_devices - 1)
+    assert table_digests(table) == expected
 
 
 def test_helper_failure_reaches_the_caller(monkeypatch):

@@ -204,7 +204,7 @@ def compute_table(tables: CostTables) -> DpTable:
         """One candidate block per T of one level, (next device d, split i,
         predecessor p, j).  The predecessor states (T - {p}, i, p) sit at
         rows squeeze(T, p), the states filled, (T, j, d), at rows
-        squeeze(T, d).  An exception is kept for the calling thread."""
+        squeeze(T, d)."""
         try:
             n = len(level[0])
             m = K - n

@@ -1,19 +1,22 @@
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-import bench_pair  # noqa: E402
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
+bench_pair = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pair)
 
 ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "pyyaml": "6.0.2", "nproc": 2,
                "cpu": "Test CPU", "git_dirty": False}
 
 
-def record(workload, seed, wall, rss, sha, failed=0):
+def record(workload, seed, wall, rss, sha, failed=0, **environment):
     return {"workload": workload, "seed": seed, "seconds": 30.0, "trace": 0,
-            "environment": {**ENVIRONMENT, "git_sha": sha},
+            "environment": {**ENVIRONMENT, "git_sha": sha, **environment},
             "metrics": {"setup_s": {"value": 0.25, "unit": "s"},
                         "norm_wall_s": {"value": wall, "unit": "s"},
                         "peak_rss_mb": {"value": rss, "unit": "MB"}},
@@ -52,28 +55,33 @@ def test_pair_values_add_raw_wall():
                       "raw_wall_s": 8.0}
 
 
-@pytest.mark.parametrize("failed, code", [(0, 0), (1, 1)])
-def test_sides_alternate_and_summarize(monkeypatch, tmp_path, capsys, failed, code):
+def fake_runs(monkeypatch, failed=0, sha=None):
+    """Fakes git and the runs of both sides; the change side's seed 1 has
+    `failed` failed operations and, if `sha` is given, that git sha.
+    Returns the list the runs are logged to."""
     calls = []
-
-    def fake_git(*args):
-        if args[0] == "rev-parse":
-            return "base123"
-        return ""
 
     def fake_run(tree, workload, seed, seconds):
         side = "change" if tree == bench_pair.ROOT else "base"
         calls.append((side, seed, seconds))
         wall = 4.0 if side == "base" else 3.0 + seed / 10
-        return record(workload, seed, wall, 50.0, f"{side}-sha",
-                      failed=failed if (side, seed) == ("change", 1) else 0)
+        odd = (side, seed) == ("change", 1)
+        return record(workload, seed, wall, 50.0, sha if odd and sha else f"{side}-sha",
+                      failed=failed if odd else 0)
 
-    monkeypatch.setattr(bench_pair, "git", fake_git)
+    monkeypatch.setattr(bench_pair, "git", lambda *args: "base123")
     monkeypatch.setattr(bench_pair, "run_bench", fake_run)
+    return calls
+
+
+LADDER_ARGS = ["--workload", "fleet_ladder", "--seeds", "0", "1", "2", "--seconds", "1"]
+
+
+@pytest.mark.parametrize("failed, code", [(0, 0), (1, 1)])
+def test_sides_alternate_and_summarize(monkeypatch, tmp_path, capsys, failed, code):
+    calls = fake_runs(monkeypatch, failed)
     out = tmp_path / "BENCH.json"
-    argv = ["--out", str(out), "--workload", "fleet_ladder", "--seeds", "0", "1", "2",
-            "--seconds", "1"]
-    assert bench_pair.main(argv) == code
+    assert bench_pair.main(["--out", str(out), *LADDER_ARGS]) == code
     assert calls == [("base", 0, 1.0), ("change", 0, 1.0), ("change", 1, 1.0),
                      ("base", 1, 1.0), ("base", 2, 1.0), ("change", 2, 1.0)]
     summary = json.loads(out.read_text())
@@ -97,3 +105,66 @@ def test_failed_run_writes_nothing(monkeypatch, tmp_path, capsys):
     assert bench_pair.main(argv) == 2
     assert capsys.readouterr().err == "error: benchmark/run.py exited 2\n"
     assert not out.exists()
+
+
+def test_mixed_side_writes_nothing(monkeypatch, tmp_path, capsys):
+    fake_runs(monkeypatch, sha="other-sha")
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main(["--out", str(out), *LADDER_ARGS]) == 2
+    *progress, error = capsys.readouterr().err.splitlines()
+    assert len(progress) == 3 and error.startswith("error: ") and "git_sha" in error
+    assert not out.exists()
+
+
+def test_tool_is_loaded_by_path():
+    assert not any(Path(entry).resolve() == TOOL.parent for entry in sys.path)
+
+
+def test_summary_per_workload():
+    records = [(f"seed {seed}", record("fleet_ladder", seed, wall, 40.0 + seed, "abc123",
+                                       failed=seed == 2))
+               for seed, wall in enumerate([4.0, 1.0, 3.0, 2.0, 5.0])]
+    records.append(("sweep", record("tab1_sweep", 0, 0.3, 36.0, "abc123")))
+    summary = bench_pair.summarize(records)
+    assert summary["git_sha"] == "abc123" and summary["git_dirty"] is False
+    assert summary["environment"] == {k: v for k, v in ENVIRONMENT.items()
+                                      if not k.startswith("git_")}
+    assert list(summary["workloads"]) == ["fleet_ladder", "tab1_sweep"]
+    ladder = summary["workloads"]["fleet_ladder"]
+    assert ladder["seeds"] == [0, 1, 2, 3, 4]
+    assert (ladder["attempted"], ladder["failed"]) == (50, 1)
+    assert ladder["metrics"]["norm_wall_s"] == {"n": 5, "median": 3.0, "q1": 1.5,
+                                               "q3": 4.5, "unit": "s"}
+    assert ladder["metrics"]["peak_rss_mb"]["unit"] == "MB"
+    single = summary["workloads"]["tab1_sweep"]["metrics"]["norm_wall_s"]
+    assert single == {"n": 1, "median": 0.3, "q1": 0.3, "q3": 0.3, "unit": "s"}
+
+
+@pytest.mark.parametrize("field, value", [("git_sha", "def456"), ("git_dirty", True),
+                                          ("numpy", "1.26.4"), ("cpu", "Other CPU")])
+def test_mixed_records_are_refused(field, value):
+    records = [("first", record("tab1_sweep", 0, 0.3, 36.0, "abc123")),
+               ("odd", record("oracle_verify", 1, 1.6, 43.0, "abc123", **{field: value}))]
+    with pytest.raises(bench_pair.RecordError, match=f"^odd differ .* in {field};"):
+        bench_pair.summarize(records)
+
+
+def test_every_odd_record_is_named():
+    records = [(f"record {seed}", record("tab1_sweep", seed, 0.3, 36.0, sha))
+               for seed, sha in enumerate(["abc123", "def456", "abc123", "def456"])]
+    with pytest.raises(bench_pair.RecordError) as refused:
+        bench_pair.summarize(records)
+    message = str(refused.value)
+    assert "record 1" in message and "record 3" in message
+    assert "record 0" not in message and "record 2" not in message
+
+
+def test_traced_record_is_refused():
+    traced = {**record("tab1_sweep", 0, 0.3, 36.0, "abc123"), "trace": 1}
+    with pytest.raises(bench_pair.RecordError, match="not a --trace 0 benchmark record"):
+        bench_pair.summarize([("traced", traced)])
+
+
+def test_no_records_are_refused():
+    with pytest.raises(bench_pair.RecordError, match="no records given"):
+        bench_pair.summarize([])

@@ -8,14 +8,19 @@ The base revision is checked out with `git worktree` into a temporary
 directory, which is removed afterwards.  For each workload and seed, the
 base's and this tree's `benchmark/run.py --trace 0` run with the same
 arguments, and the side that runs first alternates from one pair to the
-next.  The output holds each side's summary in `bench_summary`'s format
-and, per workload and metric, the median over pairs of change / base and
-the change's wins out of n pairs.  Every end-to-end metric is lower-is-
-better, and a tie is a win for neither side.  Next to the metrics, each
-pair reports the median raw (unrescaled) wall time of a pass, `raw_wall_s`.
+next.  The output holds `base` and `change`, each side's summary: per
+workload, the seeds, the summed attempted and failed operation counts and
+each end-to-end metric's n, median, quartiles and unit, with the git sha and
+the environment the side's records share (records that mix them are
+refused).  `paired` holds, per workload and metric, the median over pairs of
+change / base and the change's wins out of n pairs.  Every end-to-end metric
+is lower-is-better, and a tie is a win for neither side.  `pairs` holds each
+pair's metrics and the median raw (unrescaled) wall time of a pass,
+`raw_wall_s`.
 
 Exit 0 when every operation of every run succeeded, 1 when some failed
-(the output is still written), 2 when git or a run itself fails.
+(the output is still written), 2 when git, a run or its records fail
+(nothing is written then).
 """
 
 from __future__ import annotations
@@ -30,10 +35,59 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_summary import RecordError, summarize
-
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
+GIT_FIELDS = ("git_sha", "git_dirty")
+FIELDS = ("workload", "seed", "trace", "environment", "metrics", "attempted", "failed")
+
+
+class RecordError(Exception):
+    pass
+
+
+def spread(values: list[float], unit: str) -> dict:
+    """n, median, q1, q3 (statistics.quantiles' default method) and unit."""
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"n": len(values), "median": statistics.median(values),
+            "q1": q1, "q3": q3, "unit": unit}
+
+
+def summarize(records: list[tuple[str, dict]]) -> dict:
+    for name, record in records:
+        if (not isinstance(record, dict) or any(key not in record for key in FIELDS)
+                or record["trace"] != 0):
+            raise RecordError(f"{name} is not a --trace 0 benchmark record")
+    if not records:
+        raise RecordError("no records given")
+    environment = records[0][1]["environment"]
+    odd = [(name, record["environment"]) for name, record in records
+           if record["environment"] != environment]
+    if odd:
+        differ = sorted({key for _, other in odd for key in environment.keys() | other.keys()
+                         if environment.get(key) != other.get(key)})
+        raise RecordError(f"{', '.join(name for name, _ in odd)} differ from the first "
+                          f"record in {', '.join(differ)}; summarize one git sha and "
+                          "one environment at a time")
+    samples: dict[str, dict] = {}
+    for _, record in records:
+        workload = samples.setdefault(record["workload"], {
+            "seeds": [], "attempted": 0, "failed": 0, "metrics": {}})
+        workload["seeds"].append(record["seed"])
+        workload["attempted"] += record["attempted"]
+        workload["failed"] += record["failed"]
+        for metric, value in record["metrics"].items():
+            unit, values = workload["metrics"].setdefault(metric, (value["unit"], []))
+            values.append(value["value"])
+    for workload in samples.values():
+        workload["seeds"].sort()
+        workload["metrics"] = {metric: spread(values, unit)
+                               for metric, (unit, values) in workload["metrics"].items()}
+    return {**{key: environment.get(key) for key in GIT_FIELDS},
+            "environment": {k: v for k, v in environment.items() if k not in GIT_FIELDS},
+            "workloads": dict(sorted(samples.items()))}
 
 
 def pair_values(record: dict) -> dict[str, float]:

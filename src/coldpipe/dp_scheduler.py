@@ -19,8 +19,8 @@ thread.
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
 back-pointers take the narrowest signed integer type that holds both the
-largest split, L-1, and the largest device index, K-1 (`pointer_dtype`);
--1 marks the base.
+largest split, L-1, and the largest device index, K-1 (`pointer_dtype`).
+They are defined where `values` is finite; split 0 marks a one-stage state.
 
 Ties break by one key, `timeline.tie_key`, which the brute-force oracle
 uses too: (makespan, stage count, device mask, then (device, finish time,
@@ -118,7 +118,7 @@ def validate_plan(plan: Plan, tables: CostTables, check_memory: bool = True) -> 
 
 def pointer_dtype(num_devices: int, num_layers: int) -> np.dtype:
     """Narrowest signed integer type of the back-pointers: splits run to L-1,
-    devices to K-1, and -1 marks the base."""
+    devices to K-1."""
     largest = max(num_layers - 1, num_devices - 1)
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
                 if np.iinfo(t).max >= largest)
@@ -143,11 +143,12 @@ def squeeze(mask, device):
 @dataclass
 class DpTable:
     """Solved state table plus back-pointers for plan reconstruction.  Each
-    array is (2**(K-1), L+1, K), state (T, j, d) at [squeeze(T, d), j, d]."""
+    array is (2**(K-1), L+1, K), state (T, j, d) at [squeeze(T, d), j, d];
+    the pointers are defined where `values` is finite."""
 
     values: np.ndarray       # float64 completion time; +inf if unreachable
-    split: np.ndarray        # pointer_dtype: final-segment boundary i (0 = base)
-    prev_device: np.ndarray  # pointer_dtype: predecessor device (-1 = base)
+    split: np.ndarray        # pointer_dtype: final-segment boundary i (0 = one stage)
+    prev_device: np.ndarray  # pointer_dtype: predecessor device, read if split > 0
     num_layers: int
     num_devices: int
 
@@ -188,13 +189,12 @@ def compute_table(tables: CostTables) -> DpTable:
 
     shape, pointer = (1 << (K - 1), L + 1, K), pointer_dtype(K, L)
     values = np.full(shape, np.inf)
-    split = np.full(shape, -1, dtype=pointer)
-    prev_device = np.full(shape, -1, dtype=pointer)
+    split = np.zeros(shape, dtype=pointer)
+    prev_device = np.zeros(shape, dtype=pointer)
 
     # T = 0, row 0 for every d: a single segment 1..j on device d, no
-    # communication; prev_device stays -1, the base marker.
+    # communication; split stays 0.
     values[0] = (tables.load_s[:, 0, :] + comp_or_inf[:, 0, :]).T
-    split[0][values[0] < np.inf] = 0
 
     below = (1 << np.arange(K)) - 1  # squeeze's masks for every d, made once
     above = ~below                   # rather than once per step
@@ -225,12 +225,10 @@ def compute_table(tables: CostTables) -> DpTable:
                 cand += comp_or_inf[nexts][:, :, None, :]
                 for half in halves:
                     rows[half].argmin(axis=1, out=best[half])
-                vals = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
-                reached = vals < np.inf
                 out = row_of[nexts]
-                values[out, :, nexts] = vals
-                split[out, :, nexts] = np.where(reached, best // n, -1)
-                prev_device[out, :, nexts] = np.where(reached, preds[best % n], -1)
+                values[out, :, nexts] = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
+                split[out, :, nexts] = best // n
+                prev_device[out, :, nexts] = preds[best % n]
         except BaseException as err:  # re-raised by the calling thread
             failures.append(err)
 
@@ -277,7 +275,8 @@ def best_final_state(table: DpTable) -> tuple[float, int, int]:
 
 def reconstruct(table: DpTable, final_mask: int, final_device: int) -> Plan:
     """Walk back-pointers from the plan on devices final_mask ending on
-    final_device to the base marker, emitting stages in pipeline order."""
+    final_device to a one-stage state, emitting stages in pipeline order.
+    Every state stepped onto must be finite: a pointer is defined only there."""
     rest, j, dev = final_mask ^ (1 << final_device), table.num_layers, final_device
     if (not (final_mask >> dev) & 1
             or not np.isfinite(table.values[squeeze(rest, dev), j, dev])):
@@ -286,15 +285,15 @@ def reconstruct(table: DpTable, final_mask: int, final_device: int) -> Plan:
     for _ in range(table.num_devices + 1):
         row = squeeze(rest, dev)
         i = int(table.split[row, j, dev])
-        d_prev = int(table.prev_device[row, j, dev])
+        d_prev = int(table.prev_device[row, j, dev]) if i > 0 else 0
         # a pointer that wrapped in its narrow dtype fails here too
-        if (i < 0 or i >= j or (rest >> dev) & 1
-                or not (d_prev == -1 if i == 0 else 0 <= d_prev < table.num_devices)):
+        if (i < 0 or i >= j or (rest >> dev) & 1 or not 0 <= d_prev < table.num_devices
+                or not np.isfinite(table.values[row, j, dev])):
             raise RuntimeError(f"corrupt back-pointer at state ({rest}, {j}, {dev})")
         stages.append(PlanStage(device=dev, start_layer=i + 1, end_layer=j))
         if i == 0:
             if rest:
-                raise RuntimeError("base state carries predecessors")
+                raise RuntimeError("one-stage state carries predecessors")
             stages.reverse()
             return Plan(stages=tuple(stages))
         rest, j, dev = rest ^ (1 << d_prev), i, d_prev

@@ -107,6 +107,15 @@ def test_failed_run_writes_nothing(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unwritable_out_is_refused_before_any_run(monkeypatch, tmp_path, capsys):
+    calls = fake_runs(monkeypatch)
+    out = tmp_path / "missing" / "B.json"
+    assert bench_pair.main(["--out", str(out), *LADDER_ARGS]) == 2
+    error = capsys.readouterr().err.splitlines()
+    assert len(error) == 1 and error[0].startswith("error: ") and str(out) in error[0]
+    assert calls == [] and not out.parent.exists()
+
+
 def test_mixed_side_writes_nothing(monkeypatch, tmp_path, capsys):
     fake_runs(monkeypatch, sha="other-sha")
     out = tmp_path / "BENCH.json"

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from coldpipe import cost_tables, dp_scheduler
 from coldpipe.baselines import brute_force
 from coldpipe.dp_scheduler import (MAX_TABLE_BYTES, Plan, PlanStage,
                                    best_final_state, compute_table, reconstruct,
-                                   solve, table_bytes, validate_plan)
+                                   solve, squeeze, table_bytes, validate_plan)
 from coldpipe.errors import InfeasibleError, LimitError
-from coldpipe.experiment import random_instance_suite
+from coldpipe.experiment import random_instance_suite, verify_suite
 from coldpipe.model_profile import build_profiles
 from coldpipe.timeline import evaluate
 from conftest import make_device, make_tables
@@ -171,37 +172,30 @@ def test_reconstruct_from_explicit_state():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("split", -128), ("split", 4), ("prev_device", -1), ("prev_device", -128),
-    ("prev_device", 2), ("prev_device", 0)])
+    ("split", -128), ("split", 4), ("split", 3), ("prev_device", -1),
+    ("prev_device", -128), ("prev_device", 2), ("prev_device", 0)])
 def test_reconstruct_refuses_corrupt_pointers(field, value):
     # the optimum runs layers 1-2 on device 1, then 3-4 on device 0; each
-    # value breaks the pointer pair (split 2, prev_device 1) of its last stage
+    # value breaks the pointer pair (split 2, prev_device 1) of its last stage.
+    # Split 3 points onto the one-stage state of layers 1-3 on device 1,
+    # which its memory cannot hold: the state is +inf, its pointers undefined
     rows = [(1e12, 1e6, 5e8)] * 4
     devices = [make_device(0, memory=1.1e9), make_device(1, memory=1.1e9)]
     table = compute_table(make_tables(rows, devices))
     _, mask, dev = best_final_state(table)
     assert (mask, dev) == (0b11, 0)
     assert (table.split[1, 4, 0], table.prev_device[1, 4, 0]) == (2, 1)
+    assert np.isinf(table.values[0, 3, 1])
     getattr(table, field)[1, 4, 0] = value
     with pytest.raises(RuntimeError):
         reconstruct(table, mask, dev)
 
 
 def test_matches_oracle_on_random_instances():
-    instances = random_instance_suite(40, seed=11)
-    for inst in instances:
-        tables = suite_tables(inst)
-        try:
-            result = solve(tables)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                brute_force(tables)
-            continue
-        oracle_value, oracle_plan = brute_force(tables)
-        assert rel_close(result.makespan_s, oracle_value)
-        replay = evaluate(result.plan, tables).makespan_s
-        assert rel_close(replay, result.makespan_s)
-        assert oracle_plan == result.plan
+    # infeasibility agreement, makespan, plan and replay, as `verify` checks them
+    outcomes = verify_suite(random_instance_suite(40, seed=11))
+    assert len(outcomes) == 40
+    assert [(o.index, o.detail) for o in outcomes if not o.ok] == []
 
 
 @st.composite
@@ -372,9 +366,9 @@ def test_table_shape_and_unreachable_states():
     assert np.isinf(table.values[:, 0, :]).all()
     # fewer layers than devices used -> unreachable
     assert np.isinf(table.values[1, 1, :]).all()
-    # one-stage plans (T = 0) finite for every j on each device
+    # one-stage plans (T = 0) finite for every j on each device; split 0 marks them
     assert np.isfinite(table.values[0, 1:, :]).all()
-    assert (table.split[0, 1:, :] == 0).all() and (table.prev_device[0] == -1).all()
+    assert (table.split[0] == 0).all()
     # every other cell is a two-stage state, reached from the other device
     assert np.isfinite(table.values[1, 2:, :]).all()
     assert (table.prev_device[1, 2:, 0] == 1).all()
@@ -432,6 +426,53 @@ def test_optimum_replays_exactly(k8_fleet):
     # the table and the timeline add the same terms in the same order
     _, _, _, tables, base = k8_fleet
     assert evaluate(base.plan, tables).makespan_s == base.makespan_s
+
+
+def check_table_contract(tables):
+    """Every finite state of the fill, not only the optimum's chain: a
+    one-stage state (split 0) has T = 0 and costs load + compute; any other
+    state's (split i, predecessor p) is the first minimum of its candidate
+    column in (i, p) order, recomputed in the fill's order of operations, p
+    is in T, the predecessor is finite and the value is that candidate bit
+    for bit.  A +inf state has no finite candidate."""
+    table = compute_table(tables)
+    K = tables.num_devices
+    comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
+    for d in range(K):
+        others = [p for p in range(K) if p != d]
+        for n in range(K):
+            for members in combinations(others, n):
+                t_mask = sum(1 << p for p in members)
+                row = squeeze(t_mask, d)
+                value = table.values[row, :, d]
+                (j,) = np.nonzero(np.isfinite(value))
+                i = table.split[row, j, d].astype(int)
+                if n == 0:
+                    assert (i == 0).all()
+                    assert np.array_equal(value[j],
+                                          tables.load_s[d, 0, j] + tables.comp_s[d, 0, j])
+                    continue
+                preds = np.array(members)
+                prev = np.stack([table.values[squeeze(t_mask ^ (1 << p), p), :, p]
+                                 for p in members], axis=1)  # (i, p)
+                cand = np.maximum(tables.load_s[d][:, None, :], prev[:, :, None])
+                cand += tables.comm_s[preds, d].T[:, :, None]
+                cand += comp_or_inf[d][:, None, :]
+                flat = cand.reshape(-1, cand.shape[2])  # rows (i, p), columns j
+                p = table.prev_device[row, j, d]
+                assert (i > 0).all() and np.isin(p, preds).all()
+                k = np.searchsorted(preds, p)
+                assert np.isfinite(prev[i, k]).all()
+                assert np.array_equal(value[j], cand[i, k, j])
+                assert np.array_equal(i * n + k, flat.argmin(axis=0)[j])
+                assert np.isinf(np.delete(flat, j, axis=1)).all()
+
+
+def test_every_state_keeps_the_table_contract():
+    layers, devices = _metamorphic_fleet(0, 6)
+    check_table_contract(make_tables(layers, devices))
+    for instance in random_instance_suite(40, seed=11):
+        check_table_contract(suite_tables(instance))
 
 
 def test_unused_device_deletion_keeps_plan(k8_fleet):

@@ -19,14 +19,16 @@ pair's metrics and the median raw (unrescaled) wall time of a pass,
 `raw_wall_s`.
 
 Exit 0 when every operation of every run succeeded, 1 when some failed
-(the output is still written), 2 when git, a run or its records fail
-(nothing is written then).
+(the output is still written), 2 when git, a run, its records or the
+output file fail (nothing is written then).  An `--out` whose directory is
+missing or unwritable is refused before the first run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import signal
 import statistics
@@ -149,6 +151,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
 
+    out_dir = Path(args.out).resolve().parent
+    if not (out_dir.is_dir() and os.access(out_dir, os.W_OK)):
+        print(f"error: cannot write {args.out}: {out_dir} is not a writable directory",
+              file=sys.stderr)
+        return 2
     scratch = Path(tempfile.mkdtemp(prefix="bench_pair-"))
     base_tree = scratch / "base"
     records: dict[str, list] = {side: [] for side in SIDES}
@@ -171,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr)
         summary = {**{side: summarize(records[side]) for side in SIDES},
                    "paired": paired(pairs), "pairs": pairs}
+        Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     except (OSError, ValueError, KeyError, RunError, RecordError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -179,7 +187,6 @@ def main(argv: list[str] | None = None) -> int:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(base_tree)], capture_output=True)
         shutil.rmtree(scratch, ignore_errors=True)
-    Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     for workload, stats in summary["paired"].items():
         for metric, m in stats["metrics"].items():
             print(f"{workload} {metric}: change/base {m['median_ratio']:.3f}, "

@@ -14,6 +14,7 @@ is applied once, in `comm_s`.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,14 @@ class CostTables:
             raise IndexError(f"invalid device index {d} for K={self.num_devices}")
         # footprints grow with j, so the fitting j of row i run from i+1
         return int(self.fits[d].sum(axis=1).max())
+
+    def subset(self, keep: np.ndarray) -> "CostTables":
+        """The tables of the devices at indices keep, in that order."""
+        return dataclasses.replace(
+            self, num_devices=len(keep), devices=tuple(self.devices[d] for d in keep),
+            memory_bytes=self.memory_bytes[keep], fits=self.fits[keep],
+            load_s=self.load_s[keep], comp_s=self.comp_s[keep],
+            comm_s=self.comm_s[np.ix_(keep, keep)])
 
 
 def build(profiles: list[LayerProfile], devices: list[DeviceProfile],

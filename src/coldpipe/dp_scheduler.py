@@ -9,12 +9,24 @@ time, and the whole (d, j) block for one T is computed in a single
 vectorized step.  T's block reads only states of the level before,
 (T - {p}, i, p), and writes only its own states (T, j, d), which no other
 T's block writes.  So the blocks of one level are independent: a level
-whose blocks reach MIN_THREADED_BLOCK candidates is dealt in contiguous
-slices to the calling thread and one helper thread per further CPU, as
-many as MAX_TABLE_BYTES has room for, and joined before the next level
-reads it.  numpy releases the GIL in the block arithmetic and the argmin;
-smaller levels run on the calling thread alone, and small fills start no
-thread.
+whose largest live block reaches MIN_THREADED_BLOCK candidates is dealt in
+contiguous slices of equal live work to the calling thread and one helper
+thread per further CPU, as many as MAX_TABLE_BYTES has room for, and joined
+before the next level reads it.  numpy releases the GIL in the block
+arithmetic and the argmin; smaller levels run on the calling thread alone,
+and small fills start no thread.
+
+The fill reads only live input.  A block covers only its window: the splits
+i from the first to the last at which a predecessor state is finite, and
+the ends j past the first.  A T with no finite predecessor is skipped, and
+the fill stops at the first level with none live.  Given a bound on the
+optimum, a state (T, j, d) whose value plus LB(T | {d}, j) passes it stays
++inf, where LB(S, j), the least compute of layers j+1..L on one device
+outside S, never exceeds what any plan through the state still adds.  The
+bound is consistent, as in A*: a state reached from a cut one is over the
+bound too, so every value left finite is the unbounded one, and no state
+of an optimal or tied plan is cut (branch and bound inside the DP).  `solve`
+bounds a large fill by the optimum of half the fleet.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
@@ -36,6 +48,7 @@ the next element of the key.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -52,6 +65,11 @@ from .errors import InfeasibleError, LimitError, PlanError
 # K = 8's largest blocks (59,536) gained nothing on two threads, K = 10's
 # (78,141 to 93,025) ran 1.2-1.4x faster.
 MIN_THREADED_BLOCK = 65_536
+
+# Relative slack of the bound: a state is cut only when its value plus its
+# lower bound passes bound * (1 + PRUNE_SLACK), so rounding in the bound's
+# sums never cuts a state of an optimal or tied plan.
+PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -166,12 +184,11 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def compute_table(tables: CostTables) -> DpTable:
-    """Fill the full (T, j, d) table bottom-up, one popcount of T at a time;
-    raises LimitError, before any allocation, when the tables and one
-    worker's scratch pass MAX_TABLE_BYTES, and runs only as many workers as
-    fit.  The limit admits K <= 19 devices at 40 or 60 layers."""
-    L, K = tables.num_layers, tables.num_devices
+def fill_workers(num_devices: int, num_layers: int) -> int:
+    """Workers a fill of this size runs; raises LimitError when the tables,
+    comp_or_inf and one worker's scratch pass MAX_TABLE_BYTES.  The limit
+    admits K <= 19 devices at 40 or 60 layers."""
+    K, L = num_devices, num_layers
     size = (L + 1) ** 2
     # a worker's scratch: its level's block and argmin's copy of the larger
     # half of it (blocks are split over d), at the level where they are largest
@@ -182,7 +199,38 @@ def compute_table(tables: CostTables) -> DpTable:
             f"{K} devices and {L} layers need {need:,} bytes of DP tables and "
             f"scratch, over the limit of {MAX_TABLE_BYTES:,} bytes")
     # one device fills no level and has no scratch
-    workers = min(worker_count(), 1 + (MAX_TABLE_BYTES - need) // max(per_worker, 1))
+    return min(worker_count(), 1 + (MAX_TABLE_BYTES - need) // max(per_worker, 1))
+
+
+def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
+    """Fill the (T, j, d) table bottom-up, one popcount of T at a time;
+    raises LimitError, before any allocation, when the tables and one
+    worker's scratch pass MAX_TABLE_BYTES, and runs only as many workers as
+    fit.
+
+    A state whose value plus LB(T | {d}, j) passes bound * (1 + PRUNE_SLACK)
+    stays +inf.  LB(S, j) is the least compute of layers j+1..L on one
+    device outside S: 0 at j = L, +inf before it when no device is left.
+    A block covers only its window of rows i, from the first to the last
+    finite predecessor, and ends j past the first; every finite candidate
+    lies in it, so every first minimum is the unwindowed one."""
+    L, K = tables.num_layers, tables.num_devices
+    workers = fill_workers(K, L)
+    limit = bound * (1 + PRUNE_SLACK)
+    comp_rest = tables.comp_s[:, :, L]  # (d, j): compute of layers j+1..L
+
+    def over_bound(vals: np.ndarray, nexts: np.ndarray, first: int) -> np.ndarray:
+        """Where vals, states (T, j, d) for d in nexts and j >= first, plus
+        LB(T | {d}, j) pass the limit; LB is 0 at j = L and +inf before it
+        when no device is left."""
+        rest = comp_rest[nexts, first:]
+        if len(nexts) == 1:
+            lb = np.full_like(rest, np.inf)
+            lb[:, -1] = 0.0
+        else:
+            least = np.partition(rest, 1, axis=0)
+            lb = np.where(rest == least[0], least[1], least[0])
+        return vals + lb > limit
 
     # Infeasible segments cost +inf.
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
@@ -195,54 +243,80 @@ def compute_table(tables: CostTables) -> DpTable:
     # T = 0, row 0 for every d: a single segment 1..j on device d, no
     # communication; split stays 0.
     values[0] = (tables.load_s[:, 0, :] + comp_or_inf[:, 0, :]).T
+    if bound < math.inf:
+        values[0][over_bound(values[0].T, np.arange(K), 0).T] = np.inf
 
     below = (1 << np.arange(K)) - 1  # squeeze's masks for every d, made once
-    above = ~below                   # rather than once per step
+    above = ~below                   # rather than once per level
     failures: list[BaseException] = []
 
-    def fill(level: list[tuple[int, ...]]) -> None:
+    def fill(n, members, others, row_of, lo, hi, part) -> None:
         """One candidate block per T of one level, (next device d, split i,
-        predecessor p, j).  The predecessor states (T - {p}, i, p) sit at
-        rows squeeze(T, p), the states filled, (T, j, d), at rows
-        squeeze(T, d)."""
+        predecessor p, j), over T's window of rows i in lo..hi and ends j
+        past lo.  The predecessor states (T - {p}, i, p) sit at rows
+        squeeze(T, p), the states filled, (T, j, d), at rows squeeze(T, d)."""
         try:
-            n = len(level[0])
             m = K - n
-            cand = np.empty((m, L + 1, n, L + 1))
-            rows = cand.reshape(m, (L + 1) * n, L + 1)
+            width = hi[part] - lo[part] + 1
+            cand_buf = np.empty(int((width * (L - lo[part])).max()) * m * n)
+            best_buf = np.empty(m * int(L - lo[part].min()), dtype=np.intp)
             # argmin copies its input with the reduced axis last; halves over
             # d halve that copy
             halves = (slice(0, (m + 1) // 2), slice((m + 1) // 2, m))
-            best = np.empty((m, L + 1), dtype=np.intp)  # (d, j)
-            for members in level:
-                t_mask = sum(1 << p for p in members)
-                preds = np.array(members)
-                nexts = np.array([d for d in range(K) if d not in members])
-                row_of = (t_mask & below) | ((t_mask >> 1) & above)  # squeeze(T, each d)
-                prev = values[row_of[preds], :, preds].T  # (i, p)
-                np.maximum(tables.load_s[nexts][:, :, None, :], prev[:, :, None], out=cand)
-                cand += tables.comm_s[np.ix_(preds, nexts)].transpose(1, 2, 0)[..., None]
-                cand += comp_or_inf[nexts][:, :, None, :]
+            each_d, each_j = np.arange(m)[:, None], np.arange(L)
+            for t, a, b in zip(part.tolist(), lo[part].tolist(), (hi[part] + 1).tolist()):
+                # rows i in a..b-1, ends j from a + 1
+                preds, nexts, rows = members[t], others[t], row_of[t]
+                wi, wj = b - a, L - a
+                prev = values[rows[preds], a:b, preds].T  # (i, p)
+                cand = cand_buf[:m * wi * n * wj].reshape(m, wi, n, wj)
+                np.maximum(tables.load_s[nexts, a:b, a + 1:][:, :, None, :],
+                           prev[:, :, None], out=cand)
+                cand += tables.comm_s[preds[:, None], nexts, a:b].transpose(1, 2, 0)[..., None]
+                cand += comp_or_inf[nexts, a:b, a + 1:][:, :, None, :]
+                cand_rows = cand.reshape(m, wi * n, wj)
+                best = best_buf[:m * wj].reshape(m, wj)  # (d, j)
                 for half in halves:
-                    rows[half].argmin(axis=1, out=best[half])
-                out = row_of[nexts]
-                values[out, :, nexts] = np.take_along_axis(rows, best[:, None, :], axis=1)[:, 0]
-                split[out, :, nexts] = best // n
-                prev_device[out, :, nexts] = preds[best % n]
+                    cand_rows[half].argmin(axis=1, out=best[half])
+                vals = cand_rows[each_d, best, each_j[:wj]]
+                if bound < math.inf:
+                    vals[over_bound(vals, nexts, a + 1)] = np.inf
+                out = rows[nexts]
+                values[out, a + 1:, nexts] = vals
+                split[out, a + 1:, nexts] = a + best // n
+                prev_device[out, a + 1:, nexts] = preds[best % n]
         except BaseException as err:  # re-raised by the calling thread
             failures.append(err)
 
     for n in range(1, K):
-        level = list(combinations(range(K), n))
-        share = min(workers, len(level)) if n * (K - n) * size >= MIN_THREADED_BLOCK else 1
-        # contiguous slices: neighbours in combination order write the same
-        # rows of the tables, which would bounce cache lines between workers
-        parts = [level[w * len(level) // share:(w + 1) * len(level) // share]
-                 for w in range(share)]
-        helpers = [threading.Thread(target=fill, args=(part,)) for part in parts[1:]]
+        members = np.array(list(combinations(range(K), n)))  # (T, p)
+        each = np.arange(len(members))[:, None]
+        in_t = np.zeros((len(members), K), dtype=bool)
+        in_t[each, members] = True
+        others = np.nonzero(~in_t)[1].reshape(len(members), K - n)  # (T, d)
+        masks = (1 << members).sum(axis=1)[:, None]
+        row_of = (masks & below) | ((masks >> 1) & above)  # squeeze(T, each d)
+        lo, hi = windows(values, row_of[each, members], members)
+        live = np.flatnonzero(lo <= hi)
+        if not live.size:
+            break
+        parts = [live]
+        if workers > 1 and n * (K - n) * (L + 1) ** 2 >= MIN_THREADED_BLOCK:
+            work = (hi - lo + 1)[live] * (L - lo)[live]
+            if work.max() * n * (K - n) >= MIN_THREADED_BLOCK:
+                work = np.cumsum(work)
+                # contiguous slices of equal work: neighbours in combination
+                # order write the same rows of the tables, which would
+                # bounce cache lines between workers
+                share = min(workers, live.size)
+                cuts = np.searchsorted(work, work[-1] * np.arange(1, share) / share,
+                                       side="right")
+                parts = [part for part in np.split(live, cuts) if part.size]
+        args = (n, members, others, row_of, lo, hi)
+        helpers = [threading.Thread(target=fill, args=(*args, part)) for part in parts[1:]]
         for helper in helpers:
             helper.start()
-        fill(parts[0])
+        fill(*args, parts[0])
         for helper in helpers:
             helper.join()
         if failures:
@@ -250,6 +324,24 @@ def compute_table(tables: CostTables) -> DpTable:
 
     return DpTable(values=values, split=split, prev_device=prev_device,
                    num_layers=L, num_devices=K)
+
+
+def windows(values: np.ndarray, pred_rows: np.ndarray,
+            members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last split i < L at which some predecessor state (T - {p},
+    i, p) of each T is finite, from its rows pred_rows and devices members,
+    both (T, p); lo > hi where all are +inf.  The predecessors are gathered
+    (K - |T|) * (L+1) sets T at a time, at most one block of the level."""
+    count, n = members.shape
+    _, splits, num_devices = values.shape  # splits = L + 1; a split at L ends nothing
+    lo, hi = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
+    step = (num_devices - n) * splits
+    for s in range(0, count, step):
+        chunk = slice(s, s + step)
+        finite = np.isfinite(values[pred_rows[chunk], :splits - 1, members[chunk]]).any(axis=1)
+        lo[chunk] = finite.argmax(axis=1)
+        hi[chunk] = np.where(finite.any(axis=1), splits - 2 - finite[:, ::-1].argmax(axis=1), -1)
+    return lo, hi
 
 
 def best_final_state(table: DpTable) -> tuple[float, int, int]:
@@ -301,8 +393,21 @@ def reconstruct(table: DpTable, final_mask: int, final_device: int) -> Plan:
 
 
 def solve(tables: CostTables) -> SolveResult:
-    """Exact optimum of the cold-start makespan for this scenario."""
-    table = compute_table(tables)
+    """Exact optimum of the cold-start makespan for this scenario.  A fill
+    whose largest block reaches MIN_THREADED_BLOCK is bounded by the optimum
+    of the ceil(K/2) devices fastest to load and run the whole model alone:
+    a feasible plan of the full fleet, so no optimal or tied state is cut."""
+    K, L = tables.num_devices, tables.num_layers
+    bound = math.inf
+    if (K // 2) * (K - K // 2) * (L + 1) ** 2 >= MIN_THREADED_BLOCK:
+        fill_workers(K, L)  # refuse before the sub-fleet runs
+        alone = tables.load_s[:, 0, L] + tables.comp_s[:, 0, L]
+        fastest = np.sort(np.argsort(alone, kind="stable")[:(K + 1) // 2])
+        try:
+            bound = best_final_state(compute_table(tables.subset(fastest)))[0]
+        except InfeasibleError:
+            pass
+    table = compute_table(tables, bound)
     makespan, mask, dev = best_final_state(table)
     plan = reconstruct(table, mask, dev)
     validate_plan(plan, tables, check_memory=True)

@@ -553,7 +553,7 @@ def test_limit_error_is_a_value_error():
 def test_internal_value_error_propagates(monkeypatch):
     from coldpipe import dp_scheduler
 
-    def broken(tables):
+    def broken(tables, bound):
         raise ValueError("broadcast")
 
     monkeypatch.setattr(dp_scheduler, "compute_table", broken)

@@ -101,13 +101,22 @@ def fill_bytes(num_devices, num_layers, workers=1):
             + workers * worker_bytes(num_devices, num_layers))
 
 
-@pytest.mark.parametrize("num_devices, workers", [
-    pytest.param(2, 1, id="2"), pytest.param(3, 1, id="3"), pytest.param(4, 1, id="4"),
-    pytest.param(4, 2, id="4-two-workers")])
-def test_fill_peak_matches_the_count(monkeypatch, qwen_cfg, fleet, num_devices, workers):
-    # the refusal is only as good as the count: the fill's traced peak
-    # stays within 5% of it, one block and one half-block copy per worker
+@pytest.mark.parametrize("num_devices, workers, every_row_live", [
+    pytest.param(2, 1, False, id="2"), pytest.param(3, 1, False, id="3"),
+    pytest.param(4, 1, False, id="4"), pytest.param(4, 2, False, id="4-two-workers"),
+    pytest.param(2, 1, True, id="2-every-row-live"),
+    pytest.param(4, 1, True, id="4-every-row-live"),
+    pytest.param(4, 2, True, id="4-two-workers-every-row-live")])
+def test_fill_peak_matches_the_count(monkeypatch, qwen_cfg, fleet, num_devices, workers,
+                                     every_row_live):
+    # the refusal is only as good as the count: one block and one half-block
+    # copy per worker.  With memory to spare, every predecessor row is live
+    # and the fill's traced peak stays within 5% of the count.  The tab1
+    # fleet's memory cuts the rows a device can end a stage at, so each
+    # block covers only its window of live rows and the peak is below it
     num_layers = 400
+    if every_row_live:
+        fleet = [dataclasses.replace(device, memory_bytes=1e15) for device in fleet]
     tables = deep_tab1(qwen_cfg, fleet[:num_devices], num_layers)
     monkeypatch.setattr(dp_scheduler, "worker_count", lambda: workers)
     monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
@@ -118,7 +127,10 @@ def test_fill_peak_matches_the_count(monkeypatch, qwen_cfg, fleet, num_devices, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(peak - count) <= 0.05 * count
+    if every_row_live:
+        assert abs(peak - count) <= 0.05 * count
+    else:
+        assert peak <= count
 
 
 @pytest.mark.parametrize("num_layers, pointer", [(128, np.int8), (129, np.int16)])
@@ -293,6 +305,12 @@ def test_oracle_breaks_ties_like_the_solver():
     assert brute_force(tables)[1] == solve(tables).plan
 
 
+def test_oracle_breaks_ties_like_the_bounded_solver(monkeypatch):
+    # a sub-fleet's bound keeps every state of a tied optimum
+    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
+    test_oracle_breaks_ties_like_the_solver()
+
+
 def test_deterministic_plans():
     instances = random_instance_suite(10, seed=5)
     for inst in instances:
@@ -428,15 +446,29 @@ def test_optimum_replays_exactly(k8_fleet):
     assert evaluate(base.plan, tables).makespan_s == base.makespan_s
 
 
-def check_table_contract(tables):
-    """Every finite state of the fill, not only the optimum's chain: a
-    one-stage state (split 0) has T = 0 and costs load + compute; any other
+def lower_bound(tables, mask):
+    """LB(S, j) at every j for the device set S = mask: the least compute of
+    layers j+1..L on one device outside S; 0 at j = L, +inf before it when
+    no device is left."""
+    L = tables.num_layers
+    outside = [e for e in range(tables.num_devices) if not (mask >> e) & 1]
+    lb = tables.comp_s[outside, :, L].min(axis=0) if outside else np.full(L + 1, np.inf)
+    lb[L] = 0.0
+    return lb
+
+
+def check_table_contract(tables, bound=math.inf):
+    """Every state of the fill, not only the optimum's chain: a one-stage
+    state (split 0) has T = 0 and costs load + compute; any other finite
     state's (split i, predecessor p) is the first minimum of its candidate
     column in (i, p) order, recomputed in the fill's order of operations, p
     is in T, the predecessor is finite and the value is that candidate bit
-    for bit.  A +inf state has no finite candidate."""
-    table = compute_table(tables)
-    K = tables.num_devices
+    for bit.  A finite state's value plus LB(T | {d}, j) is within the
+    bound; a +inf state has no finite candidate, or its first minimum plus
+    LB passes the bound.  Returns the table."""
+    table = compute_table(tables, bound)
+    K, L = tables.num_devices, tables.num_layers
+    limit = bound * (1 + dp_scheduler.PRUNE_SLACK)
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
     for d in range(K):
         others = [p for p in range(K) if p != d]
@@ -444,13 +476,17 @@ def check_table_contract(tables):
             for members in combinations(others, n):
                 t_mask = sum(1 << p for p in members)
                 row = squeeze(t_mask, d)
+                lb = lower_bound(tables, t_mask | (1 << d))
                 value = table.values[row, :, d]
-                (j,) = np.nonzero(np.isfinite(value))
+                finite = np.isfinite(value)
+                (j,) = np.nonzero(finite)
+                assert (value[j] + lb[j] <= limit).all()
                 i = table.split[row, j, d].astype(int)
                 if n == 0:
+                    base = tables.load_s[d, 0] + comp_or_inf[d, 0]
                     assert (i == 0).all()
-                    assert np.array_equal(value[j],
-                                          tables.load_s[d, 0, j] + tables.comp_s[d, 0, j])
+                    assert np.array_equal(value[j], base[j])
+                    assert (np.isinf(base) | (base + lb > limit))[~finite].all()
                     continue
                 preds = np.array(members)
                 prev = np.stack([table.values[squeeze(t_mask ^ (1 << p), p), :, p]
@@ -465,7 +501,9 @@ def check_table_contract(tables):
                 assert np.isfinite(prev[i, k]).all()
                 assert np.array_equal(value[j], cand[i, k, j])
                 assert np.array_equal(i * n + k, flat.argmin(axis=0)[j])
-                assert np.isinf(np.delete(flat, j, axis=1)).all()
+                first = flat.min(axis=0)
+                assert (np.isinf(first) | (first + lb > limit))[~finite].all()
+    return table
 
 
 def test_every_state_keeps_the_table_contract():
@@ -473,6 +511,99 @@ def test_every_state_keeps_the_table_contract():
     check_table_contract(make_tables(layers, devices))
     for instance in random_instance_suite(40, seed=11):
         check_table_contract(suite_tables(instance))
+
+
+def test_bounded_fill_prunes_only_over_the_bound(monkeypatch):
+    # the bound at the optimum itself, the tightest one allowed: the states
+    # of every optimal or tied plan survive, so the plan is the unbounded one
+    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
+    layers, devices = _metamorphic_fleet(0, 9)
+    cases = [make_tables(layers, devices)]
+    cases += [suite_tables(instance) for instance in random_instance_suite(40, seed=11)]
+    bounded_cases = 0
+    for tables in cases:
+        full = compute_table(tables)
+        try:
+            optimum, mask, dev = best_final_state(full)
+        except InfeasibleError:
+            continue
+        bounded = check_table_contract(tables, optimum)
+        finite = np.isfinite(bounded.values)
+        assert np.array_equal(bounded.values[finite], full.values[finite])
+        # every state within the bound survives
+        K = tables.num_devices
+        limit = optimum * (1 + dp_scheduler.PRUNE_SLACK)
+        for row in range(1 << (K - 1)):
+            for d in range(K):
+                low = (1 << d) - 1
+                t_mask = (row & low) | ((row & ~low) << 1)  # squeeze's inverse
+                within = full.values[row, :, d] + lower_bound(tables, t_mask | (1 << d)) <= limit
+                assert finite[row, within, d].all()
+        assert best_final_state(bounded) == (optimum, mask, dev)
+        plan = reconstruct(full, mask, dev)
+        assert reconstruct(bounded, mask, dev) == plan
+        # solve, with every fill over the threshold, bounds it by a sub-fleet
+        assert solve(tables) == dp_scheduler.SolveResult(makespan_s=optimum, plan=plan)
+        bounded_cases += bool((~finite & np.isfinite(full.values)).any())
+    assert bounded_cases > 1  # the bound cut states, and not only on one instance
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """(device count, bound) of every compute_table call, in order."""
+    calls = []
+    fill = dp_scheduler.compute_table
+
+    def counted(tables, bound=math.inf):
+        calls.append((tables.num_devices, bound))
+        return fill(tables, bound)
+
+    monkeypatch.setattr(dp_scheduler, "compute_table", counted)
+    return calls
+
+
+def test_small_solves_fill_once(fills, tab1_tables):
+    # the sweep's and verify's fills are below the threshold: no sub-fleet
+    solve(tab1_tables())
+    assert fills == [(4, math.inf)]
+    for instance in random_instance_suite(300, 0):
+        fills.clear()
+        try:
+            solve(suite_tables(instance))
+        except InfeasibleError:
+            pass
+        assert fills == [(len(instance.scenario.devices), math.inf)]
+
+
+def test_large_solve_is_bounded_by_half_the_fleet(fills):
+    # K = 10 at 60 layers: the five devices fastest alone fill first, and
+    # their optimum bounds the last fill, the full fleet's
+    layers, devices = _metamorphic_fleet(0, 10)
+    tables = make_tables(layers, devices)
+    result = solve(tables)
+    (sub, unbounded), (full, bound) = fills
+    assert (sub, unbounded, full) == (5, math.inf, 10)
+    alone = tables.load_s[:, 0, 60] + tables.comp_s[:, 0, 60]
+    fastest = sorted(np.argsort(alone, kind="stable")[:5])
+    assert bound == solve(make_tables(layers, [devices[k] for k in fastest])).makespan_s
+    assert result.makespan_s <= bound < math.inf
+    table = dp_scheduler.compute_table(tables)
+    makespan, mask, dev = best_final_state(table)
+    assert result == dp_scheduler.SolveResult(makespan, reconstruct(table, mask, dev))
+
+
+def test_infeasible_sub_fleet_leaves_the_fill_unbounded(fills):
+    # each device holds 7 of the 60 layers: five hold 35 and cannot run the
+    # model, ten can
+    workload, activation, params = 4e11, 2e7, 5e8
+    devices = [make_device(k, peak=1e13 * (1 + k / 10), memory=params * 7 + activation)
+               for k in range(10)]
+    tables = make_tables([(workload, activation, params)] * 60, devices)
+    result = solve(tables)
+    assert fills == [(5, math.inf), (10, math.inf)]
+    table = dp_scheduler.compute_table(tables)
+    makespan, mask, dev = best_final_state(table)
+    assert result == dp_scheduler.SolveResult(makespan, reconstruct(table, mask, dev))
 
 
 def test_unused_device_deletion_keeps_plan(k8_fleet):
@@ -558,14 +689,14 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     # a helper that dies must not leave its states at +inf unnoticed
     layers, devices = _metamorphic_fleet(0, 6)
     tables = make_tables(layers, devices)
-    take_along_axis = np.take_along_axis
+    maximum = np.maximum
 
     def failing(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise MemoryError("no memory in the helper")
-        return take_along_axis(*args, **kwargs)
+        return maximum(*args, **kwargs)
 
-    monkeypatch.setattr(np, "take_along_axis", failing)
+    monkeypatch.setattr(np, "maximum", failing)
     monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 2)
     monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
     with pytest.raises(MemoryError, match="no memory in the helper"):
@@ -594,3 +725,10 @@ def test_identical_devices_run_in_descending_order(layers_per_device):
                for k in range(8)]
     plan = solve(make_tables([(workload, activation, params)] * 60, devices)).plan
     assert plan.devices == tuple(range(len(plan.stages) - 1, -1, -1))
+
+
+@pytest.mark.parametrize("layers_per_device", [8, 12, 20, 61])
+def test_identical_devices_keep_their_order_when_bounded(monkeypatch, layers_per_device):
+    # every mirror image ties at the optimum, so the bound cuts none of them
+    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
+    test_identical_devices_run_in_descending_order(layers_per_device)

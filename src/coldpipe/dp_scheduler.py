@@ -220,9 +220,8 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
     comp_rest = tables.comp_s[:, :, L]  # (d, j): compute of layers j+1..L
 
     def over_bound(vals: np.ndarray, nexts: np.ndarray, first: int) -> np.ndarray:
-        """Where vals, states (T, j, d) for d in nexts and j >= first, plus
-        LB(T | {d}, j) pass the limit; LB is 0 at j = L and +inf before it
-        when no device is left."""
+        """Where vals, the states (T, j, d) for d in nexts and j from first,
+        plus LB(T | {d}, j) pass the limit."""
         rest = comp_rest[nexts, first:]
         if len(nexts) == 1:
             lb = np.full_like(rest, np.inf)
@@ -301,6 +300,7 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
         if not live.size:
             break
         parts = [live]
+        # a whole block is at least as large as any live one
         if workers > 1 and n * (K - n) * (L + 1) ** 2 >= MIN_THREADED_BLOCK:
             work = (hi - lo + 1)[live] * (L - lo)[live]
             if work.max() * n * (K - n) >= MIN_THREADED_BLOCK:

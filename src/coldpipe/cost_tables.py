@@ -136,6 +136,8 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
         footprint=footprint,
         fits=footprint[None, :, :] <= memory[:, None, None],
         load_s=seg_param[None, :, :] / disk[:, None, None],
+        # one rate per device over every layer: dp_scheduler's lower bound
+        # on the compute still to come relies on it
         comp_s=seg_work[None, :, :] / compute[:, None, None],
         comm_s=(8.0 * act)[None, None, :] / min_link[:, :, None],
     )

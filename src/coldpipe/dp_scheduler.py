@@ -22,11 +22,14 @@ the ends j past the first.  A T with no finite predecessor is skipped, and
 the fill stops at the first level with none live.  Given a bound on the
 optimum, a state (T, j, d) whose value plus LB(T | {d}, j) passes it stays
 +inf, where LB(S, j), the least compute of layers j+1..L on one device
-outside S, never exceeds what any plan through the state still adds.  The
-bound is consistent, as in A*: a state reached from a cut one is over the
-bound too, so every value left finite is the unbounded one, and no state
-of an optimal or tied plan is cut (branch and bound inside the DP).  `solve`
-bounds a large fill by the optimum of half the fleet.
+outside S, never exceeds what any plan through the state still adds: each
+device computes every layer at one rate (`cost_tables.build`), so the
+later stages' compute is at least that of layers j+1..L on the fastest
+device left.  The bound is consistent, as in A*: a state reached from a
+cut one is over the bound too, so every value left finite is the unbounded
+one, and no state of an optimal or tied plan is cut (branch and bound
+inside the DP).  `solve` bounds the fill of a fleet of MIN_BOUNDED_FLEET or
+more devices by the optimum of half the fleet.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
@@ -65,6 +68,13 @@ from .errors import InfeasibleError, LimitError, PlanError
 # K = 8's largest blocks (59,536) gained nothing on two threads, K = 10's
 # (78,141 to 93,025) ran 1.2-1.4x faster.
 MIN_THREADED_BLOCK = 65_536
+
+# Devices from which `solve` first fills half the fleet to bound the full
+# fill.  Measured in-process on 2 vCPUs, four seeded fleets each, bounded
+# over unbounded solve time: K = 8 at L = 5-100 ran 0.40-1.00x, K = 9-12
+# 0.19-0.79x; K = 6-7 ran 0.68-1.30x, K = 4-5 1.01-1.42x, and the 300
+# small solves of `verify` (K <= 4) 1.16x.
+MIN_BOUNDED_FLEET = 8
 
 # Relative slack of the bound: a state is cut only when its value plus its
 # lower bound passes bound * (1 + PRUNE_SLACK), so rounding in the bound's
@@ -211,6 +221,9 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
     A state whose value plus LB(T | {d}, j) passes bound * (1 + PRUNE_SLACK)
     stays +inf.  LB(S, j) is the least compute of layers j+1..L on one
     device outside S: 0 at j = L, +inf before it when no device is left.
+    It is a lower bound because each device computes every layer at one
+    rate, so no split of layers j+1..L over devices outside S computes
+    faster than the fastest of them alone.
     A block covers only its window of rows i, from the first to the last
     finite predecessor, and ends j past the first; every finite candidate
     lies in it, so every first minimum is the unwindowed one."""
@@ -393,13 +406,13 @@ def reconstruct(table: DpTable, final_mask: int, final_device: int) -> Plan:
 
 
 def solve(tables: CostTables) -> SolveResult:
-    """Exact optimum of the cold-start makespan for this scenario.  A fill
-    whose largest block reaches MIN_THREADED_BLOCK is bounded by the optimum
-    of the ceil(K/2) devices fastest to load and run the whole model alone:
-    a feasible plan of the full fleet, so no optimal or tied state is cut."""
+    """Exact optimum of the cold-start makespan for this scenario.  The fill
+    of MIN_BOUNDED_FLEET or more devices is bounded by the optimum of the
+    ceil(K/2) devices fastest to load and run the whole model alone: a
+    feasible plan of the full fleet, so no optimal or tied state is cut."""
     K, L = tables.num_devices, tables.num_layers
     bound = math.inf
-    if (K // 2) * (K - K // 2) * (L + 1) ** 2 >= MIN_THREADED_BLOCK:
+    if K >= MIN_BOUNDED_FLEET:
         fill_workers(K, L)  # refuse before the sub-fleet runs
         alone = tables.load_s[:, 0, L] + tables.comp_s[:, 0, L]
         fastest = np.sort(np.argsort(alone, kind="stable")[:(K + 1) // 2])

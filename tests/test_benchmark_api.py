@@ -1,19 +1,23 @@
-"""The names the benchmark pins in coldpipe, checked at tier 1.
+"""The names and plans the benchmark pins in coldpipe, checked at tier 1.
 
 benchmark/tracing.py wraps the functions in its LAYERS and COUNTED tables
 and benchmark/run.py reads a filled DpTable; a rename or deletion in the
-package would otherwise surface only in a `--trace 1` benchmark run.  Both
-files are loaded by path, so sys.path is left as it is.
+package would otherwise surface only in a `--trace 1` benchmark run.  The
+benchmark checks the fleet_ladder makespans against benchmark/ref/, and
+the plans are checked here.  The benchmark's files are loaded by path, so
+sys.path is left as it is.
 """
 
 import importlib
+import json
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-from coldpipe import dp_scheduler
+from coldpipe import cost_tables, dp_scheduler
+from coldpipe.model_profile import build_profiles
 from conftest import make_device, make_tables
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
@@ -45,3 +49,19 @@ def test_dp_counters_table_bytes(monkeypatch):
                                   for d in range(3)])
     counters = _load("run", monkeypatch).dp_counters(dp_scheduler.compute_table(tables))
     assert counters["table_bytes"] == (dp_scheduler.table_bytes(3, num_layers), "bytes")
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_plans_equal_the_fleet_ladder_references(index, monkeypatch):
+    # the exact solver's plan, not only its makespan, is the reference's on
+    # every rung of fleets 0-7, the bounded K = 8-12 fills among them
+    fleet = _load("fleet", monkeypatch)
+    ref = json.loads((BENCHMARK / "ref" / "fleet_ladder.json").read_text())["fleets"]
+    for k in fleet.LADDER:
+        scenario = fleet.fleet_scenario(index, k)
+        tables = cost_tables.build(build_profiles(scenario.model, fleet.TOKENS),
+                                   list(scenario.devices), fleet.TOKENS)
+        stages = dp_scheduler.solve(tables).plan.stages
+        plan = fleet.plan_string((scenario.devices[s.device].id, s.start_layer, s.end_layer)
+                                 for s in stages)
+        assert plan == ref[str(index)][f"k{k:02d}"]["plan"], f"K = {k}"

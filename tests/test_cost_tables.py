@@ -58,6 +58,18 @@ def test_seg_comp_stronger_device_is_faster(tab1_tables):
     assert tables.comp_s[0, 4, 20] < tables.comp_s[3, 4, 20]
 
 
+def test_each_device_computes_every_layer_at_one_rate(fleet):
+    # dp_scheduler's lower bound on the compute still to come is exact only
+    # while devices rank alike on every segment: comp_s[d] / comp_s[0] is
+    # one constant over all non-empty segments, also with unequal layers
+    devices = list(fleet) + [make_device(k, peak=1e12 * (k + 1), ceiling=0.2 + 0.1 * k,
+                                         rate=10.0 ** -k) for k in range(4)]
+    tables = make_tables(triples(30), devices, t=512)
+    i, j = np.triu_indices(31, k=1)
+    ratio = tables.comp_s[:, i, j] / tables.comp_s[0, i, j]
+    np.testing.assert_allclose(ratio, np.broadcast_to(ratio[:, :1], ratio.shape), rtol=1e-12)
+
+
 @given(st.data())
 def test_segment_additivity(data):
     n = data.draw(st.integers(min_value=2, max_value=12))

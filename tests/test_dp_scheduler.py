@@ -307,7 +307,7 @@ def test_oracle_breaks_ties_like_the_solver():
 
 def test_oracle_breaks_ties_like_the_bounded_solver(monkeypatch):
     # a sub-fleet's bound keeps every state of a tied optimum
-    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
+    monkeypatch.setattr(dp_scheduler, "MIN_BOUNDED_FLEET", 0)
     test_oracle_breaks_ties_like_the_solver()
 
 
@@ -516,7 +516,7 @@ def test_every_state_keeps_the_table_contract():
 def test_bounded_fill_prunes_only_over_the_bound(monkeypatch):
     # the bound at the optimum itself, the tightest one allowed: the states
     # of every optimal or tied plan survive, so the plan is the unbounded one
-    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
+    monkeypatch.setattr(dp_scheduler, "MIN_BOUNDED_FLEET", 0)
     layers, devices = _metamorphic_fleet(0, 9)
     cases = [make_tables(layers, devices)]
     cases += [suite_tables(instance) for instance in random_instance_suite(40, seed=11)]
@@ -542,7 +542,7 @@ def test_bounded_fill_prunes_only_over_the_bound(monkeypatch):
         assert best_final_state(bounded) == (optimum, mask, dev)
         plan = reconstruct(full, mask, dev)
         assert reconstruct(bounded, mask, dev) == plan
-        # solve, with every fill over the threshold, bounds it by a sub-fleet
+        # solve, bounding every fleet, bounds it by a sub-fleet
         assert solve(tables) == dp_scheduler.SolveResult(makespan_s=optimum, plan=plan)
         bounded_cases += bool((~finite & np.isfinite(full.values)).any())
     assert bounded_cases > 1  # the bound cut states, and not only on one instance
@@ -563,7 +563,8 @@ def fills(monkeypatch):
 
 
 def test_small_solves_fill_once(fills, tab1_tables):
-    # the sweep's and verify's fills are below the threshold: no sub-fleet
+    # the sweep's and verify's fleets are smaller than MIN_BOUNDED_FLEET: no
+    # sub-fleet
     solve(tab1_tables())
     assert fills == [(4, math.inf)]
     for instance in random_instance_suite(300, 0):
@@ -717,18 +718,15 @@ def test_small_fills_start_no_thread(monkeypatch, tab1_tables):
 
 
 @pytest.mark.parametrize("layers_per_device", [8, 12, 20, 61])
-def test_identical_devices_run_in_descending_order(layers_per_device):
+def test_identical_devices_run_in_descending_order(fills, layers_per_device):
     # every plan ties with its mirror images; the tie key takes the smallest
-    # mask, then the smallest device from the last stage back
+    # mask, then the smallest device from the last stage back.  Eight
+    # devices are bounded by four, which hold the model from 20 layers each:
+    # the mirror images tie at the optimum, so the bound cuts none of them
     workload, activation, params = 4e11, 2e7, 5e8
     devices = [make_device(k, memory=params * layers_per_device + activation)
                for k in range(8)]
     plan = solve(make_tables([(workload, activation, params)] * 60, devices)).plan
     assert plan.devices == tuple(range(len(plan.stages) - 1, -1, -1))
-
-
-@pytest.mark.parametrize("layers_per_device", [8, 12, 20, 61])
-def test_identical_devices_keep_their_order_when_bounded(monkeypatch, layers_per_device):
-    # every mirror image ties at the optimum, so the bound cuts none of them
-    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
-    test_identical_devices_run_in_descending_order(layers_per_device)
+    assert [k for k, _ in fills] == [4, 8]
+    assert (fills[-1][1] < math.inf) == (layers_per_device >= 15)

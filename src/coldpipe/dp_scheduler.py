@@ -20,15 +20,20 @@ The fill reads only live input.  A block covers only its window: the splits
 i from the first to the last at which a predecessor state is finite, and
 the ends j past the first.  A T with no finite predecessor is skipped, and
 the fill stops at the first level with none live.  Given a bound on the
-optimum, a state (T, j, d) whose value plus LB(T | {d}, j) passes it stays
-+inf, where LB(S, j), the least compute of layers j+1..L on one device
-outside S, never exceeds what any plan through the state still adds: each
-device computes every layer at one rate (`cost_tables.build`), so the
-later stages' compute is at least that of layers j+1..L on the fastest
-device left.  The bound is consistent, as in A*: a state reached from a
-cut one is over the bound too, so every value left finite is the unbounded
-one, and no state of an optimal or tied plan is cut (branch and bound
-inside the DP).  `solve` bounds the fill of a fleet of MIN_BOUNDED_FLEET or
+optimum, a state (T, j, d) whose value plus LB(T, j, d) passes it stays
++inf.  LB is 0 at j = L; before it, LB is the cheapest transfer of layer
+j's output from d to a device e outside T | {d}, plus the least compute of
+layers j+1..L on one such device.  It never exceeds what any plan through
+the state still adds: the next stage runs on some e and receives layer j's
+output from d, and each device computes every layer at one rate
+(`cost_tables.build`), so the later stages' compute is at least that of
+layers j+1..L on the fastest device left.  The bound is consistent, as in
+A* (Hart, Nilsson & Raphael 1968): along a transition (T, i, p) ->
+(T | {p}, j, d), the value grows by at least comm_s[p, d, i] +
+comp_s[d, i, j], and that is at least LB(T, i, p) - LB(T | {p}, j, d).  So
+a state reached from a cut one is over the bound too, every value left
+finite is the unbounded one, and no state of an optimal or tied plan is
+cut (branch and bound inside the DP).  `solve` bounds the fill of a fleet of MIN_BOUNDED_FLEET or
 more devices by the optimum of half the fleet.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
@@ -218,12 +223,14 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
     worker's scratch pass MAX_TABLE_BYTES, and runs only as many workers as
     fit.
 
-    A state whose value plus LB(T | {d}, j) passes bound * (1 + PRUNE_SLACK)
-    stays +inf.  LB(S, j) is the least compute of layers j+1..L on one
-    device outside S: 0 at j = L, +inf before it when no device is left.
-    It is a lower bound because each device computes every layer at one
-    rate, so no split of layers j+1..L over devices outside S computes
-    faster than the fastest of them alone.
+    A state whose value plus LB(T, j, d) passes bound * (1 + PRUNE_SLACK)
+    stays +inf.  With E the devices outside T | {d}, LB(T, j, d) is 0 at
+    j = L and, before it, the least comm_s[d, e, j] over e in E plus the
+    least compute of layers j+1..L on one e in E: +inf when E is empty.  It
+    is a lower bound because the next stage runs on a device of E and
+    receives layer j's output from d, and because each device computes
+    every layer at one rate, so no split of layers j+1..L over E computes
+    faster than the fastest device of E alone.
     A block covers only its window of rows i, from the first to the last
     finite predecessor, and ends j past the first; every finite candidate
     lies in it, so every first minimum is the unwindowed one."""
@@ -234,7 +241,7 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
 
     def over_bound(vals: np.ndarray, nexts: np.ndarray, first: int) -> np.ndarray:
         """Where vals, the states (T, j, d) for d in nexts and j from first,
-        plus LB(T | {d}, j) pass the limit."""
+        plus LB(T, j, d) pass the limit."""
         rest = comp_rest[nexts, first:]
         if len(nexts) == 1:
             lb = np.full_like(rest, np.inf)
@@ -242,6 +249,11 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
         else:
             least = np.partition(rest, 1, axis=0)
             lb = np.where(rest == least[0], least[1], least[0])
+            # before j = L, layer j's output still goes from d to a free device
+            sends = tables.comm_s[nexts[:, None], nexts, first:L]
+            diagonal = np.arange(len(nexts))
+            sends[diagonal, diagonal] = np.inf
+            lb[:, :L - first] += sends.min(axis=1)
         return vals + lb > limit
 
     # Infeasible segments cost +inf.

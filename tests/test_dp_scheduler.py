@@ -446,13 +446,18 @@ def test_optimum_replays_exactly(k8_fleet):
     assert evaluate(base.plan, tables).makespan_s == base.makespan_s
 
 
-def lower_bound(tables, mask):
-    """LB(S, j) at every j for the device set S = mask: the least compute of
-    layers j+1..L on one device outside S; 0 at j = L, +inf before it when
-    no device is left."""
+def lower_bound(tables, t_mask, d):
+    """LB(T, j, d) at every j for the device set T = t_mask: 0 at j = L;
+    before it, the cheapest transfer of layer j's output from d to a device
+    e outside T | {d}, plus the least compute of layers j+1..L on one such
+    e; +inf when no e is left."""
     L = tables.num_layers
-    outside = [e for e in range(tables.num_devices) if not (mask >> e) & 1]
-    lb = tables.comp_s[outside, :, L].min(axis=0) if outside else np.full(L + 1, np.inf)
+    compute, send = np.full(L + 1, np.inf), np.full(L + 1, np.inf)
+    for e in range(tables.num_devices):
+        if e != d and not (t_mask >> e) & 1:
+            compute = np.minimum(compute, tables.comp_s[e, :, L])
+            send = np.minimum(send, tables.comm_s[d, e, :])
+    lb = compute + send
     lb[L] = 0.0
     return lb
 
@@ -463,7 +468,7 @@ def check_table_contract(tables, bound=math.inf):
     state's (split i, predecessor p) is the first minimum of its candidate
     column in (i, p) order, recomputed in the fill's order of operations, p
     is in T, the predecessor is finite and the value is that candidate bit
-    for bit.  A finite state's value plus LB(T | {d}, j) is within the
+    for bit.  A finite state's value plus LB(T, j, d) is within the
     bound; a +inf state has no finite candidate, or its first minimum plus
     LB passes the bound.  Returns the table."""
     table = compute_table(tables, bound)
@@ -476,7 +481,7 @@ def check_table_contract(tables, bound=math.inf):
             for members in combinations(others, n):
                 t_mask = sum(1 << p for p in members)
                 row = squeeze(t_mask, d)
-                lb = lower_bound(tables, t_mask | (1 << d))
+                lb = lower_bound(tables, t_mask, d)
                 value = table.values[row, :, d]
                 finite = np.isfinite(value)
                 (j,) = np.nonzero(finite)
@@ -537,7 +542,7 @@ def test_bounded_fill_prunes_only_over_the_bound(monkeypatch):
             for d in range(K):
                 low = (1 << d) - 1
                 t_mask = (row & low) | ((row & ~low) << 1)  # squeeze's inverse
-                within = full.values[row, :, d] + lower_bound(tables, t_mask | (1 << d)) <= limit
+                within = full.values[row, :, d] + lower_bound(tables, t_mask, d) <= limit
                 assert finite[row, within, d].all()
         assert best_final_state(bounded) == (optimum, mask, dev)
         plan = reconstruct(full, mask, dev)

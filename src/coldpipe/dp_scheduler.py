@@ -7,14 +7,7 @@ segments on the device subset T, d not in T.  T = 0 holds the one-stage
 plans.  Subsets are bitmasks, filled level by level, one popcount |T| at a
 time, and the whole (d, j) block for one T is computed in a single
 vectorized step.  T's block reads only states of the level before,
-(T - {p}, i, p), and writes only its own states (T, j, d), which no other
-T's block writes.  So the blocks of one level are independent: a level
-whose largest live block reaches MIN_THREADED_BLOCK candidates is dealt in
-contiguous slices of equal live work to the calling thread and one helper
-thread per further CPU, as many as MAX_TABLE_BYTES has room for, and joined
-before the next level reads it.  numpy releases the GIL in the block
-arithmetic and the argmin; smaller levels run on the calling thread alone,
-and small fills start no thread.
+(T - {p}, i, p), and writes only its own states (T, j, d).
 
 The fill reads only live input.  A block covers only its window: the splits
 i from the first to the last at which a predecessor state is finite, and
@@ -57,8 +50,6 @@ the next element of the key.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -67,12 +58,6 @@ import numpy as np
 from .cost_tables import MAX_TABLE_BYTES, CostTables
 from .errors import InfeasibleError, LimitError, PlanError
 
-
-# Candidate elements of one block, |T| * (K - |T|) * (L+1)**2, below which
-# a level runs on the calling thread alone.  Measured on 2 vCPUs at L = 60:
-# K = 8's largest blocks (59,536) gained nothing on two threads, K = 10's
-# (78,141 to 93,025) ran 1.2-1.4x faster.
-MIN_THREADED_BLOCK = 65_536
 
 # Devices from which `solve` first fills half the fleet to bound the full
 # fill.  Measured in-process on 2 vCPUs, four seeded fleets each, bounded
@@ -192,36 +177,26 @@ class SolveResult:
     plan: Plan
 
 
-def worker_count() -> int:
-    """CPUs this process may run on: the most workers a large level gets."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def fill_workers(num_devices: int, num_layers: int) -> int:
-    """Workers a fill of this size runs; raises LimitError when the tables,
-    comp_or_inf and one worker's scratch pass MAX_TABLE_BYTES.  The limit
-    admits K <= 19 devices at 40 or 60 layers."""
+def check_fill_bytes(num_devices: int, num_layers: int) -> None:
+    """Raise LimitError when the tables, comp_or_inf and the fill's scratch
+    pass MAX_TABLE_BYTES.  The limit admits K <= 19 devices at 40 or 60
+    layers."""
     K, L = num_devices, num_layers
     size = (L + 1) ** 2
-    # a worker's scratch: its level's block and argmin's copy of the larger
-    # half of it (blocks are split over d), at the level where they are largest
-    per_worker = 8 * size * max(n * (K - n + (K - n + 1) // 2) for n in range(K))
-    need = table_bytes(K, L) + 8 * K * size + per_worker  # comp_or_inf, one worker
+    # the scratch: a level's block and argmin's copy of the larger half of
+    # it (blocks are split over d), at the level where they are largest
+    scratch = 8 * size * max(n * (K - n + (K - n + 1) // 2) for n in range(K))
+    need = table_bytes(K, L) + 8 * K * size + scratch  # comp_or_inf
     if need > MAX_TABLE_BYTES:
         raise LimitError(
             f"{K} devices and {L} layers need {need:,} bytes of DP tables and "
             f"scratch, over the limit of {MAX_TABLE_BYTES:,} bytes")
-    # one device fills no level and has no scratch
-    return min(worker_count(), 1 + (MAX_TABLE_BYTES - need) // max(per_worker, 1))
 
 
 def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
     """Fill the (T, j, d) table bottom-up, one popcount of T at a time;
-    raises LimitError, before any allocation, when the tables and one
-    worker's scratch pass MAX_TABLE_BYTES, and runs only as many workers as
-    fit.
+    raises LimitError, before any allocation, when the tables and the
+    fill's scratch pass MAX_TABLE_BYTES.
 
     A state whose value plus LB(T, j, d) passes bound * (1 + PRUNE_SLACK)
     stays +inf.  With E the devices outside T | {d}, LB(T, j, d) is 0 at
@@ -235,7 +210,7 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
     finite predecessor, and ends j past the first; every finite candidate
     lies in it, so every first minimum is the unwindowed one."""
     L, K = tables.num_layers, tables.num_devices
-    workers = fill_workers(K, L)
+    check_fill_bytes(K, L)
     limit = bound * (1 + PRUNE_SLACK)
     comp_rest = tables.comp_s[:, :, L]  # (d, j): compute of layers j+1..L
 
@@ -272,80 +247,58 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
 
     below = (1 << np.arange(K)) - 1  # squeeze's masks for every d, made once
     above = ~below                   # rather than once per level
-    failures: list[BaseException] = []
 
-    def fill(n, members, others, row_of, lo, hi, part) -> None:
-        """One candidate block per T of one level, (next device d, split i,
-        predecessor p, j), over T's window of rows i in lo..hi and ends j
-        past lo.  The predecessor states (T - {p}, i, p) sit at rows
-        squeeze(T, p), the states filled, (T, j, d), at rows squeeze(T, d)."""
-        try:
-            m = K - n
-            width = hi[part] - lo[part] + 1
-            cand_buf = np.empty(int((width * (L - lo[part])).max()) * m * n)
-            best_buf = np.empty(m * int(L - lo[part].min()), dtype=np.intp)
-            # argmin copies its input with the reduced axis last; halves over
-            # d halve that copy
-            halves = (slice(0, (m + 1) // 2), slice((m + 1) // 2, m))
-            each_d, each_j = np.arange(m)[:, None], np.arange(L)
-            for t, a, b in zip(part.tolist(), lo[part].tolist(), (hi[part] + 1).tolist()):
-                # rows i in a..b-1, ends j from a + 1
-                preds, nexts, rows = members[t], others[t], row_of[t]
-                wi, wj = b - a, L - a
-                prev = values[rows[preds], a:b, preds].T  # (i, p)
-                cand = cand_buf[:m * wi * n * wj].reshape(m, wi, n, wj)
-                np.maximum(tables.load_s[nexts, a:b, a + 1:][:, :, None, :],
-                           prev[:, :, None], out=cand)
-                cand += tables.comm_s[preds[:, None], nexts, a:b].transpose(1, 2, 0)[..., None]
-                cand += comp_or_inf[nexts, a:b, a + 1:][:, :, None, :]
-                cand_rows = cand.reshape(m, wi * n, wj)
-                best = best_buf[:m * wj].reshape(m, wj)  # (d, j)
-                for half in halves:
-                    cand_rows[half].argmin(axis=1, out=best[half])
-                vals = cand_rows[each_d, best, each_j[:wj]]
-                if bound < math.inf:
-                    vals[over_bound(vals, nexts, a + 1)] = np.inf
-                out = rows[nexts]
-                values[out, a + 1:, nexts] = vals
-                split[out, a + 1:, nexts] = a + best // n
-                prev_device[out, a + 1:, nexts] = preds[best % n]
-        except BaseException as err:  # re-raised by the calling thread
-            failures.append(err)
-
-    for n in range(1, K):
+    def fill(n: int) -> bool:
+        """Level |T| = n: one candidate block per live T, (next device d,
+        split i, predecessor p, j), over T's window of rows i in lo..hi and
+        ends j past lo.  The predecessor states (T - {p}, i, p) sit at rows
+        squeeze(T, p), the states filled, (T, j, d), at rows squeeze(T, d).
+        False when no T of the level is live."""
+        m = K - n
         members = np.array(list(combinations(range(K), n)))  # (T, p)
         each = np.arange(len(members))[:, None]
         in_t = np.zeros((len(members), K), dtype=bool)
         in_t[each, members] = True
-        others = np.nonzero(~in_t)[1].reshape(len(members), K - n)  # (T, d)
+        others = np.nonzero(~in_t)[1].reshape(len(members), m)  # (T, d)
         masks = (1 << members).sum(axis=1)[:, None]
         row_of = (masks & below) | ((masks >> 1) & above)  # squeeze(T, each d)
         lo, hi = windows(values, row_of[each, members], members)
         live = np.flatnonzero(lo <= hi)
         if not live.size:
+            return False
+        lo, hi = lo[live], hi[live]
+        cand_buf = np.empty(int(((hi - lo + 1) * (L - lo)).max()) * m * n)
+        best_buf = np.empty(m * int(L - lo.min()), dtype=np.intp)
+        # argmin copies its input with the reduced axis last; halves over d
+        # halve that copy
+        halves = (slice(0, (m + 1) // 2), slice((m + 1) // 2, m))
+        each_d, each_j = np.arange(m)[:, None], np.arange(L)
+        for t, a, b in zip(live.tolist(), lo.tolist(), (hi + 1).tolist()):
+            # rows i in a..b-1, ends j from a + 1
+            preds, nexts, rows = members[t], others[t], row_of[t]
+            wi, wj = b - a, L - a
+            prev = values[rows[preds], a:b, preds].T  # (i, p)
+            cand = cand_buf[:m * wi * n * wj].reshape(m, wi, n, wj)
+            np.maximum(tables.load_s[nexts, a:b, a + 1:][:, :, None, :],
+                       prev[:, :, None], out=cand)
+            cand += tables.comm_s[preds[:, None], nexts, a:b].transpose(1, 2, 0)[..., None]
+            cand += comp_or_inf[nexts, a:b, a + 1:][:, :, None, :]
+            cand_rows = cand.reshape(m, wi * n, wj)
+            best = best_buf[:m * wj].reshape(m, wj)  # (d, j)
+            for half in halves:
+                cand_rows[half].argmin(axis=1, out=best[half])
+            vals = cand_rows[each_d, best, each_j[:wj]]
+            if bound < math.inf:
+                vals[over_bound(vals, nexts, a + 1)] = np.inf
+            out = rows[nexts]
+            values[out, a + 1:, nexts] = vals
+            split[out, a + 1:, nexts] = a + best // n
+            prev_device[out, a + 1:, nexts] = preds[best % n]
+        return True
+
+    for n in range(1, K):
+        if not fill(n):
             break
-        parts = [live]
-        # a whole block is at least as large as any live one
-        if workers > 1 and n * (K - n) * (L + 1) ** 2 >= MIN_THREADED_BLOCK:
-            work = (hi - lo + 1)[live] * (L - lo)[live]
-            if work.max() * n * (K - n) >= MIN_THREADED_BLOCK:
-                work = np.cumsum(work)
-                # contiguous slices of equal work: neighbours in combination
-                # order write the same rows of the tables, which would
-                # bounce cache lines between workers
-                share = min(workers, live.size)
-                cuts = np.searchsorted(work, work[-1] * np.arange(1, share) / share,
-                                       side="right")
-                parts = [part for part in np.split(live, cuts) if part.size]
-        args = (n, members, others, row_of, lo, hi)
-        helpers = [threading.Thread(target=fill, args=(*args, part)) for part in parts[1:]]
-        for helper in helpers:
-            helper.start()
-        fill(*args, parts[0])
-        for helper in helpers:
-            helper.join()
-        if failures:
-            raise failures[0]
 
     return DpTable(values=values, split=split, prev_device=prev_device,
                    num_layers=L, num_devices=K)
@@ -425,7 +378,7 @@ def solve(tables: CostTables) -> SolveResult:
     K, L = tables.num_devices, tables.num_layers
     bound = math.inf
     if K >= MIN_BOUNDED_FLEET:
-        fill_workers(K, L)  # refuse before the sub-fleet runs
+        check_fill_bytes(K, L)  # refuse before the sub-fleet runs
         alone = tables.load_s[:, 0, L] + tables.comp_s[:, 0, L]
         fastest = np.sort(np.argsort(alone, kind="stable")[:(K + 1) // 2])
         try:

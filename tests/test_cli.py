@@ -312,8 +312,8 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_cli_start_loads_no_executor():
-    # concurrent.futures costs milliseconds and memory at every start; the
-    # DP fill's helpers are plain threads
+    # concurrent.futures costs milliseconds and memory at every start, and
+    # nothing in coldpipe needs it
     probe = ("import sys, coldpipe.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
     done = subprocess.run([sys.executable, "-c", probe], env=src_env(), timeout=60,

@@ -1,9 +1,6 @@
 import dataclasses
-import hashlib
 import math
 import random
-import sys
-import threading
 import tracemalloc
 from itertools import combinations
 
@@ -40,7 +37,7 @@ def make_tables_from_scenario(sc, t):
     return cost_tables.build(build_profiles(sc.model, t), list(sc.devices), t)
 
 
-def test_table_bytes_estimate(monkeypatch):
+def test_table_bytes_estimate():
     # float64 values plus two back-pointer tables, (2**(K-1), L+1, K) each;
     # the back-pointers are int8 up to L = 128 and int16 past it
     assert table_bytes(4, 40) == 8 * 41 * 4 * (8 + 1 + 1) == 13_120
@@ -49,17 +46,15 @@ def test_table_bytes_estimate(monkeypatch):
     # the byte limit admits K <= 19 at L=60 and at L=40
     assert table_bytes(19, 60) == 3_038_248_960
     assert table_bytes(19, 40) == 2_042_101_760
-    # past it, the tables and one worker's scratch are refused on any host
+    # past it, the tables and the fill's scratch are refused
     for num_devices, num_layers, need in ((20, 60, "6,401,493,232"),
                                           (20, 40, "4,301,501,552"),
                                           (25, 10, "46,137,600,520")):
         tables = make_tables([(1e12, 1e6, 5e8)] * num_layers,
                              [make_device(i) for i in range(num_devices)])
-        for cpus in (1, 2, 64):
-            monkeypatch.setattr(dp_scheduler, "worker_count", lambda: cpus)
-            with pytest.raises(LimitError,
-                               match=f"need {need} bytes .* {MAX_TABLE_BYTES:,} bytes"):
-                compute_table(tables)
+        with pytest.raises(LimitError,
+                           match=f"need {need} bytes .* {MAX_TABLE_BYTES:,} bytes"):
+            compute_table(tables)
     with pytest.raises(ValueError):
         table_bytes(0, 10)
 
@@ -72,7 +67,7 @@ def deep_tab1(model, fleet, num_layers, t=2048):
 
 def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
     # the DP tables are 230,784 bytes; comp_or_inf (4 units of 601**2
-    # doubles) and one worker's block and argmin's half copy (4 + 2 units at
+    # doubles) and the fill's block and argmin's half copy (4 + 2 units at
     # |T| = 2) bring the count to 230,784 + 8 * 361,201 * 10 = 29,126,864
     tables = deep_tab1(qwen_cfg, fleet, 600)
     monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES", 29_000_000)
@@ -86,41 +81,31 @@ def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
     assert peak < 1e6
 
 
-def worker_bytes(num_devices, num_layers):
-    """One worker's scratch: a level's block, |T| * (K - |T|) units of
-    (L+1)**2 doubles, and argmin's copy of its larger half, |T| *
-    ceil((K - |T|) / 2), at the level where the two are largest."""
-    return 8 * (num_layers + 1) ** 2 * max(
-        n * (num_devices - n + math.ceil((num_devices - n) / 2))
-        for n in range(1, num_devices))
+def fill_bytes(num_devices, num_layers):
+    """The tables, comp_or_inf and the fill's scratch: a level's block,
+    |T| * (K - |T|) units of (L+1)**2 doubles, and argmin's copy of its
+    larger half, |T| * ceil((K - |T|) / 2), at the level where the two are
+    largest."""
+    K, L = num_devices, num_layers
+    scratch = max(n * (K - n + math.ceil((K - n) / 2)) for n in range(1, K))
+    return table_bytes(K, L) + 8 * (L + 1) ** 2 * (K + scratch)
 
 
-def fill_bytes(num_devices, num_layers, workers=1):
-    """The tables, comp_or_inf and the scratch of the given workers."""
-    return (table_bytes(num_devices, num_layers) + 8 * (num_layers + 1) ** 2 * num_devices
-            + workers * worker_bytes(num_devices, num_layers))
-
-
-@pytest.mark.parametrize("num_devices, workers, every_row_live", [
-    pytest.param(2, 1, False, id="2"), pytest.param(3, 1, False, id="3"),
-    pytest.param(4, 1, False, id="4"), pytest.param(4, 2, False, id="4-two-workers"),
-    pytest.param(2, 1, True, id="2-every-row-live"),
-    pytest.param(4, 1, True, id="4-every-row-live"),
-    pytest.param(4, 2, True, id="4-two-workers-every-row-live")])
-def test_fill_peak_matches_the_count(monkeypatch, qwen_cfg, fleet, num_devices, workers,
-                                     every_row_live):
+@pytest.mark.parametrize("num_devices, every_row_live", [
+    pytest.param(2, False, id="2"), pytest.param(3, False, id="3"),
+    pytest.param(4, False, id="4"), pytest.param(2, True, id="2-every-row-live"),
+    pytest.param(4, True, id="4-every-row-live")])
+def test_fill_peak_matches_the_count(qwen_cfg, fleet, num_devices, every_row_live):
     # the refusal is only as good as the count: one block and one half-block
-    # copy per worker.  With memory to spare, every predecessor row is live
-    # and the fill's traced peak stays within 5% of the count.  The tab1
-    # fleet's memory cuts the rows a device can end a stage at, so each
-    # block covers only its window of live rows and the peak is below it
+    # copy.  With memory to spare, every predecessor row is live and the
+    # fill's traced peak stays within 5% of the count.  The tab1 fleet's
+    # memory cuts the rows a device can end a stage at, so each block covers
+    # only its window of live rows and the peak is below it
     num_layers = 400
     if every_row_live:
         fleet = [dataclasses.replace(device, memory_bytes=1e15) for device in fleet]
     tables = deep_tab1(qwen_cfg, fleet[:num_devices], num_layers)
-    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: workers)
-    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
-    count = fill_bytes(num_devices, num_layers, workers)
+    count = fill_bytes(num_devices, num_layers)
     tracemalloc.start()
     try:
         compute_table(tables)
@@ -628,98 +613,6 @@ def test_more_memory_never_raises_optimum(k8_fleet):
         roomier = list(devices[:8])
         roomier[d] = dataclasses.replace(roomier[d], memory_bytes=2 * roomier[d].memory_bytes)
         assert solve(make_tables(layers, roomier)).makespan_s <= base.makespan_s
-
-
-def table_digests(table):
-    return [hashlib.sha256(a.tobytes()).hexdigest()
-            for a in (table.values, table.split, table.prev_device)]
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The helper threads the fill starts, with every level large enough
-    to deal to them."""
-    threads = []
-
-    class CountedThread(threading.Thread):
-        def start(self):
-            threads.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", CountedThread)
-    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
-    return threads
-
-
-@pytest.mark.parametrize("num_devices", [6, 7, 8])
-def test_fill_is_identical_on_any_worker_count(monkeypatch, started, num_devices):
-    # each level's blocks write disjoint states and read only the level
-    # before, so the tables cannot depend on how the blocks are dealt
-    layers, devices = _metamorphic_fleet(num_devices, num_devices)
-    tables = make_tables(layers, devices)
-    digests = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(dp_scheduler, "worker_count", lambda: workers)
-            started.clear()
-            table = compute_table(tables)
-            # every level deals its blocks to the calling thread and helpers
-            assert len(started) == (workers - 1) * (num_devices - 1)
-            digests[workers] = table_digests(table)
-    finally:
-        sys.setswitchinterval(interval)
-    assert digests[2] == digests[1] and digests[3] == digests[1]
-    assert not any(thread.is_alive() for thread in started)
-
-
-@pytest.mark.parametrize("fitting", [1, 2, 3])
-def test_fill_runs_only_the_workers_that_fit(monkeypatch, started, fitting):
-    # four CPUs, but a byte limit with room for the scratch of `fitting`
-    # workers only: the fill runs that many, not a refusal
-    num_devices = 7
-    layers, devices = _metamorphic_fleet(num_devices, num_devices)
-    tables = make_tables(layers, devices)
-    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 1)
-    expected = table_digests(compute_table(tables))
-    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 4)
-    monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES",
-                        fill_bytes(num_devices, len(layers), fitting + 1) - 1)
-    table = compute_table(tables)
-    assert len(started) == (fitting - 1) * (num_devices - 1)
-    assert table_digests(table) == expected
-
-
-def test_helper_failure_reaches_the_caller(monkeypatch):
-    # a helper that dies must not leave its states at +inf unnoticed
-    layers, devices = _metamorphic_fleet(0, 6)
-    tables = make_tables(layers, devices)
-    maximum = np.maximum
-
-    def failing(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("no memory in the helper")
-        return maximum(*args, **kwargs)
-
-    monkeypatch.setattr(np, "maximum", failing)
-    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 2)
-    monkeypatch.setattr(dp_scheduler, "MIN_THREADED_BLOCK", 0)
-    with pytest.raises(MemoryError, match="no memory in the helper"):
-        compute_table(tables)
-
-
-def test_small_fills_start_no_thread(monkeypatch, tab1_tables):
-    # the sweep's and verify's fills are far below the helper threshold,
-    # however many CPUs the host has
-    def refuse(*args, **kwargs):
-        raise AssertionError("a small fill started a thread")
-
-    monkeypatch.setattr(threading, "Thread", refuse)
-    monkeypatch.setattr(dp_scheduler, "worker_count", lambda: 64)
-    compute_table(tab1_tables())
-    for instance in random_instance_suite(100, 0):
-        compute_table(suite_tables(instance))
 
 
 @pytest.mark.parametrize("layers_per_device", [8, 12, 20, 61])

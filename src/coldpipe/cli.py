@@ -22,6 +22,7 @@ import io
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import baselines, config, experiment
@@ -166,15 +167,16 @@ def cmd_gantt(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instances = experiment.random_instance_suite(args.count, seed=args.seed)
+    instances = islice(experiment.random_instances(args.seed), args.count)
     failures = 0
     for index, instance in enumerate(instances):
-        # one instance per check, each line printed as soon as it is known
+        # one instance made and checked at a time, each line printed as soon
+        # as it is known
         (o,) = experiment.verify_suite([instance])
         status = "ok" if o.ok else "MISMATCH"
         print(f"instance {index:03d}: {status} ({o.detail})", flush=True)
         failures += 0 if o.ok else 1
-    print(f"{len(instances) - failures}/{len(instances)} instances passed")
+    print(f"{args.count - failures}/{args.count} instances passed")
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 

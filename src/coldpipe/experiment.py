@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from . import baselines, cost_tables, dp_scheduler
 from .device_model import DeviceProfile, RadioParams
@@ -205,14 +206,11 @@ def _random_model(rng: random.Random, num_layers: int) -> ModelConfig:
     )
 
 
-def random_instance_suite(count: int, seed: int = 0) -> list[SuiteInstance]:
-    """Deterministic-from-seed instances sized for the brute-force oracle
-    (at most 4 devices and 8 layers)."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+def random_instances(seed: int = 0) -> Iterator[SuiteInstance]:
+    """Endless deterministic-from-seed instances sized for the brute-force
+    oracle (at most 4 devices and 8 layers), each made when it is asked for."""
     rng = random.Random(seed)
-    instances = []
-    for _ in range(count):
+    while True:
         num_devices = rng.randint(1, 4)
         num_layers = rng.randint(1, 8)
         model = _random_model(rng, num_layers)
@@ -225,8 +223,14 @@ def random_instance_suite(count: int, seed: int = 0) -> list[SuiteInstance]:
             strategies=("optimal_dp", "brute_force"),
             seed=seed,
         )
-        instances.append(SuiteInstance(scenario=scenario))
-    return instances
+        yield SuiteInstance(scenario=scenario)
+
+
+def random_instance_suite(count: int, seed: int = 0) -> list[SuiteInstance]:
+    """The first count of `random_instances(seed)`."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    return list(islice(random_instances(seed), count))
 
 
 @dataclass(frozen=True)

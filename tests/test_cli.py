@@ -189,6 +189,28 @@ def test_verify_prints_each_instance_once_checked(capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("instance 000: ok (")
 
 
+def test_verify_makes_only_the_instances_it_checks(monkeypatch):
+    # making a million instances up front would take minutes and gigabytes:
+    # with stdout closed before the first line, verify makes one and exits
+    from coldpipe import experiment
+
+    true_random_device, made = experiment._random_device, []
+
+    def counted(rng, idx):
+        if idx == 0:  # the first device of a new instance
+            made.append(idx)
+            assert len(made) == 1, "verify made a second instance"
+        return true_random_device(rng, idx)
+
+    monkeypatch.setattr(experiment, "_random_device", counted)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["verify", "--count", "1000000"]) == 141
+    assert len(made) == 1
+
+
 def test_verify_zero_count_usage_error(capsys):
     code, _, _ = run(["verify", "--count", "0"], capsys)
     assert code == 1

@@ -26,8 +26,8 @@ A* (Hart, Nilsson & Raphael 1968): along a transition (T, i, p) ->
 comp_s[d, i, j], and that is at least LB(T, i, p) - LB(T | {p}, j, d).  So
 a state reached from a cut one is over the bound too, every value left
 finite is the unbounded one, and no state of an optimal or tied plan is
-cut (branch and bound inside the DP).  `solve` bounds the fill of a fleet of MIN_BOUNDED_FLEET or
-more devices by the optimum of half the fleet.
+cut (branch and bound inside the DP).  `solve` bounds the fill of a fleet
+of MIN_BOUNDED_FLEET or more devices by the optimum of half the fleet.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The

@@ -199,16 +199,10 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
     fill's scratch pass MAX_TABLE_BYTES.
 
     A state whose value plus LB(T, j, d) passes bound * (1 + PRUNE_SLACK)
-    stays +inf.  With E the devices outside T | {d}, LB(T, j, d) is 0 at
-    j = L and, before it, the least comm_s[d, e, j] over e in E plus the
-    least compute of layers j+1..L on one e in E: +inf when E is empty.  It
-    is a lower bound because the next stage runs on a device of E and
-    receives layer j's output from d, and because each device computes
-    every layer at one rate, so no split of layers j+1..L over E computes
-    faster than the fastest device of E alone.
-    A block covers only its window of rows i, from the first to the last
-    finite predecessor, and ends j past the first; every finite candidate
-    lies in it, so every first minimum is the unwindowed one."""
+    stays +inf; the module docstring defines LB and why no optimal or tied
+    state is cut.  A block covers only its window of rows i, from the first
+    to the last finite predecessor, and ends j past the first; every finite
+    candidate lies in it, so every first minimum is the unwindowed one."""
     L, K = tables.num_layers, tables.num_devices
     check_fill_bytes(K, L)
     limit = bound * (1 + PRUNE_SLACK)
@@ -217,18 +211,12 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
     def over_bound(vals: np.ndarray, nexts: np.ndarray, first: int) -> np.ndarray:
         """Where vals, the states (T, j, d) for d in nexts and j from first,
         plus LB(T, j, d) pass the limit."""
-        rest = comp_rest[nexts, first:]
-        if len(nexts) == 1:
-            lb = np.full_like(rest, np.inf)
-            lb[:, -1] = 0.0
-        else:
-            least = np.partition(rest, 1, axis=0)
-            lb = np.where(rest == least[0], least[1], least[0])
-            # before j = L, layer j's output still goes from d to a free device
-            sends = tables.comm_s[nexts[:, None], nexts, first:L]
-            diagonal = np.arange(len(nexts))
-            sends[diagonal, diagonal] = np.inf
-            lb[:, :L - first] += sends.min(axis=1)
+        free = (nexts[:, None] != nexts)[:, :, None]  # (d, e): e is not d
+        lb = np.where(free, comp_rest[nexts, first:], np.inf).min(axis=1)
+        # before j = L, layer j's output still goes from d to a free device
+        lb[:, :L - first] += np.where(free, tables.comm_s[nexts[:, None], nexts, first:L],
+                                      np.inf).min(axis=1)
+        lb[:, -1] = 0.0
         return vals + lb > limit
 
     # Infeasible segments cost +inf.
@@ -245,9 +233,6 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
     if bound < math.inf:
         values[0][over_bound(values[0].T, np.arange(K), 0).T] = np.inf
 
-    below = (1 << np.arange(K)) - 1  # squeeze's masks for every d, made once
-    above = ~below                   # rather than once per level
-
     def fill(n: int) -> bool:
         """Level |T| = n: one candidate block per live T, (next device d,
         split i, predecessor p, j), over T's window of rows i in lo..hi and
@@ -256,13 +241,10 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
         False when no T of the level is live."""
         m = K - n
         members = np.array(list(combinations(range(K), n)))  # (T, p)
-        each = np.arange(len(members))[:, None]
-        in_t = np.zeros((len(members), K), dtype=bool)
-        in_t[each, members] = True
-        others = np.nonzero(~in_t)[1].reshape(len(members), m)  # (T, d)
-        masks = (1 << members).sum(axis=1)[:, None]
-        row_of = (masks & below) | ((masks >> 1) & above)  # squeeze(T, each d)
-        lo, hi = windows(values, row_of[each, members], members)
+        # reversed: the lesser of two n-sets has their least differing element, its complement not
+        others = np.array(list(combinations(range(K), m)))[::-1]  # (T, d)
+        row_of = squeeze((1 << members).sum(axis=1)[:, None], np.arange(K))
+        lo, hi = windows(values, np.take_along_axis(row_of, members, 1), members)
         live = np.flatnonzero(lo <= hi)
         if not live.size:
             return False

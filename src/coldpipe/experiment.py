@@ -24,8 +24,8 @@ from .timeline import Timeline, evaluate
 RELATIVE_TOLERANCE = 1e-9
 
 
-def close_enough(a: float, b: float, rel: float = RELATIVE_TOLERANCE) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+def close_enough(a: float, b: float) -> bool:
+    return abs(a - b) <= RELATIVE_TOLERANCE * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,12 @@ class Scenario:
             if s not in baselines.STRATEGIES:
                 raise ValueError(
                     f"unknown strategy {s!r}; valid: {baselines.STRATEGIES}")
+        # a repeat writes its rows twice and counts twice in average_improvement_pct
+        for key in ("token_lengths", "strategies"):
+            entries = getattr(self, key)
+            for k, entry in enumerate(entries):
+                if entry in entries[:k]:
+                    raise ValueError(f"{key} lists {entry!r} twice")
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,16 @@ def test_malformed_yaml_is_one_line_config_error(tmp_path, capsys, text, message
     assert err == f"config error: {cfg}: invalid YAML: {message}\n"
 
 
+def test_repeated_token_length_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _edited_tab1(tmp_path, "  - 512\n", "  - 512\n  - 256\n")
+    code, out, err = run(["sweep", "--config", cfg, "--out", "r.csv"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "config error: token_lengths lists 256 twice\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_model_preset_is_unknown_key(tmp_path, capsys):
     cfg = _edited_tab1(tmp_path, "model:\n", "model:\n  preset: qwen3_14b\n")
     code, out, err = run(["solve", "--config", cfg, "--tokens", "2048"], capsys)

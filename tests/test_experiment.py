@@ -84,6 +84,12 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(model=sc.model, devices=(), token_lengths=(128,),
                  strategies=("even",))
+    with pytest.raises(ValueError, match="token_lengths lists 128 twice"):
+        Scenario(model=sc.model, devices=sc.devices, token_lengths=(128, 256, 128),
+                 strategies=("even",))
+    with pytest.raises(ValueError, match="strategies lists 'even' twice"):
+        Scenario(model=sc.model, devices=sc.devices, token_lengths=(128,),
+                 strategies=("even", "heuristic", "even"))
 
 
 def test_suite_deterministic():

@@ -12,6 +12,7 @@ spec.loader.exec_module(bench_pair)
 
 ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "pyyaml": "6.0.2", "nproc": 2,
                "cpu": "Test CPU", "git_dirty": False}
+BOUNDS = {"norm_wall_s": 0.25, "peak_rss_mb": 0.05}
 
 
 def record(workload, seed, wall, rss, sha, failed=0, **environment):
@@ -38,15 +39,48 @@ def test_paired_ratios_and_wins():
                   {"norm_wall_s": 1.0, "peak_rss_mb": 49.0}),
              pair(0, {"norm_wall_s": 0.3, "peak_rss_mb": 36.0},
                   {"norm_wall_s": 0.3, "peak_rss_mb": 36.0}, workload="tab1_sweep")]
-    stats = bench_pair.paired(pairs)
+    stats = bench_pair.paired(pairs, BOUNDS)
     assert list(stats) == ["fleet_ladder", "tab1_sweep"]
     ladder = stats["fleet_ladder"]
     assert ladder["seeds"] == [0, 1, 2]
-    # ratios 0.75, 1.25, 0.5: median 0.75; a tie is nobody's win
-    assert ladder["metrics"]["norm_wall_s"] == {"n": 3, "median_ratio": 0.75, "wins": 2}
-    assert ladder["metrics"]["peak_rss_mb"] == {"n": 3, "median_ratio": 1.0, "wins": 1}
+    # ratios 0.75, 1.25, 0.5: median 0.75; a tie is nobody's win; base
+    # quartiles 2 and 4
+    assert ladder["metrics"]["norm_wall_s"] == {
+        "n": 3, "median_ratio": 0.75, "wins": 2, "base_spread": 2.0, "median_gap": 1.0,
+        "claim_holds": False, "within_bound": True}
+    assert ladder["metrics"]["peak_rss_mb"] == {
+        "n": 3, "median_ratio": 1.0, "wins": 1, "base_spread": 0.0, "median_gap": 0.0,
+        "claim_holds": False, "within_bound": True}
     assert stats["tab1_sweep"]["metrics"]["norm_wall_s"] == {
-        "n": 1, "median_ratio": 1.0, "wins": 0}
+        "n": 1, "median_ratio": 1.0, "wins": 0, "base_spread": 0.0, "median_gap": 0.0,
+        "claim_holds": False, "within_bound": True}
+
+
+# ten base walls with quartiles 10 and 11: a spread of 1
+BASE_WALLS = [10.0] * 5 + [11.0] * 5
+
+
+@pytest.mark.parametrize("change, holds", [
+    ([w - 2 for w in BASE_WALLS], True),
+    ([w - 2 for w in BASE_WALLS[:9]] + [12.0], True),  # 9 wins of 10 suffice
+    ([w - 2 for w in BASE_WALLS[:8]] + BASE_WALLS[8:], False),  # ties win nothing
+    ([w - 0.5 for w in BASE_WALLS], False),  # a gap inside the base's spread
+], ids=["clear", "nine_wins", "eight_wins", "narrow_gap"])
+def test_claim_needs_nine_tenths_and_a_gap_past_the_spread(change, holds):
+    pairs = [pair(seed, {"norm_wall_s": b}, {"norm_wall_s": c})
+             for seed, (b, c) in enumerate(zip(BASE_WALLS, change))]
+    wall = bench_pair.paired(pairs, BOUNDS)["fleet_ladder"]["metrics"]["norm_wall_s"]
+    assert wall["base_spread"] == 1.0
+    assert wall["claim_holds"] is holds
+
+
+@pytest.mark.parametrize("rss, within", [(52.4, True), (52.6, False)])
+def test_end_to_end_metric_within_its_bound(rss, within):
+    pairs = [pair(seed, {"peak_rss_mb": 50.0, "raw_wall_s": 4.0},
+                  {"peak_rss_mb": rss, "raw_wall_s": 9.0}) for seed in range(10)]
+    metrics = bench_pair.paired(pairs, BOUNDS)["fleet_ladder"]["metrics"]
+    assert metrics["peak_rss_mb"]["within_bound"] is within
+    assert "within_bound" not in metrics["raw_wall_s"]  # no bound: not end to end
 
 
 def test_pair_values_add_raw_wall():
@@ -90,8 +124,10 @@ def test_sides_alternate_and_summarize(monkeypatch, tmp_path, capsys, failed, co
     assert summary["change"]["workloads"]["fleet_ladder"]["failed"] == failed
     assert [p["first"] for p in summary["pairs"]] == ["base", "change", "base"]
     wall = summary["paired"]["fleet_ladder"]["metrics"]["norm_wall_s"]
-    assert wall == {"n": 3, "median_ratio": 3.1 / 4.0, "wins": 3}
-    assert "norm_wall_s: change/base 0.775, change lower in 3/3" in capsys.readouterr().out
+    assert wall == {"n": 3, "median_ratio": 3.1 / 4.0, "wins": 3, "base_spread": 0.0,
+                    "median_gap": 4.0 - 3.1, "claim_holds": True, "within_bound": True}
+    assert ("norm_wall_s: change/base 0.775, change lower in 3/3, median gap 0.9 against "
+            "base spread 0, claim holds, within its bound") in capsys.readouterr().out
 
 
 def test_failed_run_writes_nothing(monkeypatch, tmp_path, capsys):

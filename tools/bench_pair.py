@@ -13,8 +13,12 @@ workload, the seeds, the summed attempted and failed operation counts and
 each end-to-end metric's n, median, quartiles and unit, with the git sha and
 the environment the side's records share (records that mix them are
 refused).  `paired` holds, per workload and metric, the median over pairs of
-change / base and the change's wins out of n pairs.  Every end-to-end metric
-is lower-is-better, and a tie is a win for neither side.  `pairs` holds each
+change / base, the change's wins out of n pairs, the base's quartile spread,
+the gap of the base's median over the change's, `claim_holds` (wins >= 0.9 n
+and a gap wider than the spread) and, for an end-to-end metric,
+`within_bound` (the change's median at most the base's times 1 + its bound
+in BENCHMARK.json).  Every end-to-end metric is lower-is-better, and a tie
+is a win for neither side.  `pairs` holds each
 pair's metrics and the median raw (unrescaled) wall time of a pass,
 `raw_wall_s`.
 
@@ -98,23 +102,39 @@ def pair_values(record: dict) -> dict[str, float]:
     return {**values, "raw_wall_s": record["raw_wall_s"]["median"]}
 
 
-def paired(pairs: list[dict]) -> dict:
-    """Per workload and metric: n pairs, the median of change / base and
-    the pairs in which the change is lower."""
+def decide(base: list[float], change: list[float], bound: float | None) -> dict:
+    """The README's decision rules for one metric over n pairs of base and
+    change values, every metric lower-is-better: the change's wins, the
+    base's quartile spread (q3 - q1), the gap of base median over change
+    median, whether a gain is claimed (wins >= 0.9 n and a gap wider than
+    the spread) and, given the metric's end-to-end bound, whether the
+    change's median is within it of the base's."""
+    n, base_median, change_median = len(base), statistics.median(base), statistics.median(change)
+    quartiles = spread(base, "")
+    out = {"n": n, "median_ratio": statistics.median(c / b for b, c in zip(base, change)),
+           "wins": sum(c < b for b, c in zip(base, change)),
+           "base_spread": quartiles["q3"] - quartiles["q1"],
+           "median_gap": base_median - change_median}
+    out["claim_holds"] = out["wins"] >= 0.9 * n and out["median_gap"] > out["base_spread"]
+    if bound is not None:
+        out["within_bound"] = change_median <= base_median * (1 + bound)
+    return out
+
+
+def paired(pairs: list[dict], bounds: dict[str, float]) -> dict:
+    """Per workload and metric, `decide` over its pairs; bounds maps each
+    end-to-end metric to its relative bound."""
     by_workload: dict[str, dict] = {}
     for pair in pairs:
         workload = by_workload.setdefault(pair["workload"], {"seeds": [], "metrics": {}})
         workload["seeds"].append(pair["seed"])
         for metric, base in pair["base"].items():
-            change = pair["change"][metric]
-            ratios = workload["metrics"].setdefault(metric, {"ratios": [], "wins": 0})
-            ratios["ratios"].append(change / base)
-            ratios["wins"] += change < base
+            sides = workload["metrics"].setdefault(metric, ([], []))
+            sides[0].append(base)
+            sides[1].append(pair["change"][metric])
     for workload in by_workload.values():
-        workload["metrics"] = {
-            metric: {"n": len(m["ratios"]), "median_ratio": statistics.median(m["ratios"]),
-                     "wins": m["wins"]}
-            for metric, m in workload["metrics"].items()}
+        workload["metrics"] = {metric: decide(base, change, bounds.get(metric))
+                               for metric, (base, change) in workload["metrics"].items()}
     return dict(sorted(by_workload.items()))
 
 
@@ -161,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     records: dict[str, list] = {side: [] for side in SIDES}
     pairs = []
     try:
+        benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+        bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
         sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
         git("worktree", "add", "--detach", str(base_tree), sha)
         trees = {"base": base_tree, "change": ROOT}
@@ -177,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{side} {pairs[-1][side]['norm_wall_s']:.3f} s" for side in SIDES),
                 file=sys.stderr)
         summary = {**{side: summarize(records[side]) for side in SIDES},
-                   "paired": paired(pairs), "pairs": pairs}
+                   "paired": paired(pairs, bounds), "pairs": pairs}
         Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     except (OSError, ValueError, KeyError, RunError, RecordError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -190,7 +212,11 @@ def main(argv: list[str] | None = None) -> int:
     for workload, stats in summary["paired"].items():
         for metric, m in stats["metrics"].items():
             print(f"{workload} {metric}: change/base {m['median_ratio']:.3f}, "
-                  f"change lower in {m['wins']}/{m['n']}")
+                  f"change lower in {m['wins']}/{m['n']}, median gap {m['median_gap']:.4g} "
+                  f"against base spread {m['base_spread']:.4g}, claim "
+                  f"{'holds' if m['claim_holds'] else 'does not hold'}"
+                  + ("" if "within_bound" not in m else
+                     f", {'within' if m['within_bound'] else 'past'} its bound"))
     failed = sum(w["failed"] for side in SIDES for w in summary[side]["workloads"].values())
     if failed:
         print(f"error: {failed} failed operations", file=sys.stderr)

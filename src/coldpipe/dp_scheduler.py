@@ -16,18 +16,18 @@ the fill stops at the first level with none live.  Given a bound on the
 optimum, a state (T, j, d) whose value plus LB(T, j, d) passes it stays
 +inf.  LB is 0 at j = L; before it, LB is the cheapest transfer of layer
 j's output from d to a device e outside T | {d}, plus the least compute of
-layers j+1..L on one such device.  It never exceeds what any plan through
-the state still adds: the next stage runs on some e and receives layer j's
-output from d, and each device computes every layer at one rate
-(`cost_tables.build`), so the later stages' compute is at least that of
-layers j+1..L on the fastest device left.  The bound is consistent, as in
-A* (Hart, Nilsson & Raphael 1968): along a transition (T, i, p) ->
-(T | {p}, j, d), the value grows by at least comm_s[p, d, i] +
-comp_s[d, i, j], and that is at least LB(T, i, p) - LB(T | {p}, j, d).  So
+layers j+1..L on one such device, +inf when there is none.  It never
+exceeds what any plan through the state still adds: the next stage runs on
+some e and receives layer j's output from d, and each device computes every
+layer at one rate (`cost_tables.build`), so the later stages' compute is at
+least that of layers j+1..L on the fastest device left.  The bound is
+consistent, as in A* (Hart, Nilsson & Raphael 1968): along a transition
+(T, i, p) -> (T | {p}, j, d), the value grows by at least comm_s[p, d, i]
++ comp_s[d, i, j], and that is at least LB(T, i, p) - LB(T | {p}, j, d).  So
 a state reached from a cut one is over the bound too, every value left
-finite is the unbounded one, and no state of an optimal or tied plan is
-cut (branch and bound inside the DP).  `solve` bounds the fill of a fleet
-of MIN_BOUNDED_FLEET or more devices by the optimum of half the fleet.
+finite is the unbounded one, and no state of an optimal or tied plan is cut
+(branch and bound inside the DP).  `solve` bounds the fill of a fleet of
+MIN_BOUNDED_FLEET or more devices by the optimum of half the fleet.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The

@@ -18,9 +18,8 @@ the gap of the base's median over the change's, `claim_holds` (wins >= 0.9 n
 and a gap wider than the spread) and, for an end-to-end metric,
 `within_bound` (the change's median at most the base's times 1 + its bound
 in BENCHMARK.json).  Every end-to-end metric is lower-is-better, and a tie
-is a win for neither side.  `pairs` holds each
-pair's metrics and the median raw (unrescaled) wall time of a pass,
-`raw_wall_s`.
+is a win for neither side.  `pairs` holds each pair's metrics and the
+median raw (unrescaled) wall time of a pass, `raw_wall_s`.
 
 Exit 0 when every operation of every run succeeded, 1 when some failed
 (the output is still written), 2 when git, a run, its records or the
@@ -104,11 +103,8 @@ def pair_values(record: dict) -> dict[str, float]:
 
 def decide(base: list[float], change: list[float], bound: float | None) -> dict:
     """The README's decision rules for one metric over n pairs of base and
-    change values, every metric lower-is-better: the change's wins, the
-    base's quartile spread (q3 - q1), the gap of base median over change
-    median, whether a gain is claimed (wins >= 0.9 n and a gap wider than
-    the spread) and, given the metric's end-to-end bound, whether the
-    change's median is within it of the base's."""
+    change values, the fields of `paired` in the module docstring;
+    within_bound only for a metric with an end-to-end bound."""
     n, base_median, change_median = len(base), statistics.median(base), statistics.median(change)
     quartiles = spread(base, "")
     out = {"n": n, "median_ratio": statistics.median(c / b for b, c in zip(base, change)),
@@ -211,12 +207,12 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
     for workload, stats in summary["paired"].items():
         for metric, m in stats["metrics"].items():
+            claim = "holds" if m["claim_holds"] else "does not hold"
+            bound = {True: ", within its bound", False: ", past its bound"}.get(
+                m.get("within_bound"), "")
             print(f"{workload} {metric}: change/base {m['median_ratio']:.3f}, "
                   f"change lower in {m['wins']}/{m['n']}, median gap {m['median_gap']:.4g} "
-                  f"against base spread {m['base_spread']:.4g}, claim "
-                  f"{'holds' if m['claim_holds'] else 'does not hold'}"
-                  + ("" if "within_bound" not in m else
-                     f", {'within' if m['within_bound'] else 'past'} its bound"))
+                  f"against base spread {m['base_spread']:.4g}, claim {claim}{bound}")
     failed = sum(w["failed"] for side in SIDES for w in summary[side]["workloads"].values())
     if failed:
         print(f"error: {failed} failed operations", file=sys.stderr)

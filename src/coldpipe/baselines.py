@@ -10,9 +10,9 @@ Three static baselines:
 The heuristic score is the harmonic mean of raw peak FLOPS and raw disk
 bytes/s (dominated by the smaller rate).
 
-brute_force enumerates every stage count, ordered device selection, and
-layer composition on small instances, scoring each candidate with the same
-timeline evaluator the solver is checked against.
+brute_force enumerates every stage count, layer composition and ordered
+device selection, in that order, on small instances, scoring each candidate
+with the same timeline evaluator the solver is checked against.
 """
 
 from __future__ import annotations
@@ -97,12 +97,18 @@ def plan_for_strategy(strategy: str, devices: Sequence[DeviceProfile],
 
 
 def enumerate_plans(num_devices: int, num_layers: int) -> Iterator[Plan]:
-    """Every (stage count, ordered device selection, cut points) candidate:
-    the cuts are n-1 of the L-1 inner layer boundaries, in increasing order."""
+    """Every candidate, by stage count n, then cut points (n-1 of the L-1
+    inner layer boundaries, in increasing order), then ordered selection of
+    n devices.  The stages of one cut are built once and shared by its plans."""
+    # tie_key tells any two plans apart, so brute_force's pick ignores this order
     for n_stages in range(1, min(num_devices, num_layers) + 1):
-        for selection in permutations(range(num_devices), n_stages):
-            for cuts in combinations(range(1, num_layers), n_stages - 1):
-                yield _plan(selection, (0, *cuts, num_layers))
+        selections = list(permutations(range(num_devices), n_stages))
+        for cuts in combinations(range(1, num_layers), n_stages - 1):
+            bounds = (0, *cuts, num_layers)
+            row = [[PlanStage(d, lo + 1, hi) for d in range(num_devices)]
+                   for lo, hi in zip(bounds, bounds[1:])]
+            for selection in selections:
+                yield Plan(tuple(map(list.__getitem__, row, selection)))
 
 
 def brute_force(tables: CostTables) -> tuple[float, Plan]:
@@ -123,9 +129,12 @@ def brute_force(tables: CostTables) -> tuple[float, Plan]:
         if not all(tables.fits[s.device, s.start_layer - 1, s.end_layer]
                    for s in plan.stages):
             continue
-        key = tie_key(evaluate(plan, tables, check_memory=False))
-        if best_key is None or key < best_key:
-            best_key, best = key, plan
+        timeline = evaluate(plan, tables, check_memory=False)
+        # the key starts with the makespan, so a longer plan cannot win
+        if best is None or timeline.makespan_s <= best_key[0]:
+            key = tie_key(timeline)
+            if best is None or key < best_key:
+                best_key, best = key, plan
     if best is None:
         raise InfeasibleError(
             "no layer partition satisfies the per-device memory constraints")

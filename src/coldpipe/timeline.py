@@ -88,9 +88,9 @@ def evaluate(plan: Plan, tables: CostTables, check_memory: bool = True) -> Timel
     prev_device = None
     for stage in plan.stages:
         d, i, j = stage.device, stage.start_layer - 1, stage.end_layer
-        load = tables.load_s[d, i, j]
-        comp = tables.comp_s[d, i, j]
-        comm = 0.0 if prev_device is None else tables.comm_s[prev_device, d, i]
+        load = tables.load_s.item(d, i, j)
+        comp = tables.comp_s.item(d, i, j)
+        comm = 0.0 if prev_device is None else tables.comm_s.item(prev_device, d, i)
         start = max(load, finish_prev)
         finish = (start + comm) + comp
         wait = max(0.0, finish_prev - load)
@@ -98,13 +98,13 @@ def evaluate(plan: Plan, tables: CostTables, check_memory: bool = True) -> Timel
             device=stage.device,
             start_layer=stage.start_layer,
             end_layer=stage.end_layer,
-            load_s=float(load),
-            comm_s=float(comm),
-            comp_s=float(comp),
-            start_s=float(start),
-            finish_s=float(finish),
-            wait_s=float(wait),
+            load_s=load,
+            comm_s=comm,
+            comp_s=comp,
+            start_s=start,
+            finish_s=finish,
+            wait_s=wait,
         ))
         finish_prev = finish
         prev_device = d
-    return Timeline(makespan_s=float(finish_prev), stages=tuple(stages))
+    return Timeline(makespan_s=finish_prev, stages=tuple(stages))

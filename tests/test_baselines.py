@@ -7,7 +7,7 @@ from coldpipe.baselines import (MAX_ORACLE_PLANS, brute_force, enumerate_plans,
                                 plan_for_strategy, single_device_plan)
 from coldpipe.dp_scheduler import PlanStage, solve, validate_plan
 from coldpipe.errors import InfeasibleError, LimitError
-from coldpipe.timeline import evaluate
+from coldpipe.timeline import evaluate, tie_key
 from conftest import make_device, make_tables
 
 
@@ -129,6 +129,17 @@ def test_brute_force_plan_budget():
                              [make_device(i) for i in range(num_devices)])
         result = solve(tables)
         assert brute_force(tables) == (result.makespan_s, result.plan)
+
+
+def test_oracle_pick_does_not_depend_on_candidate_order():
+    # identical devices and equal layers: every device order of a cut ties
+    tables = make_tables([(1e12, 1e6, 5e8)] * 5, [make_device(i) for i in range(3)])
+    plans = list(enumerate_plans(tables.num_devices, tables.num_layers))
+    keys = [tie_key(evaluate(plan, tables)) for plan in plans]
+    assert len({key[0] for key in keys}) < len(keys)
+    assert len(set(keys)) == len(keys)
+    assert brute_force(tables)[1] == min(
+        reversed(plans), key=lambda plan: tie_key(evaluate(plan, tables)))
 
 
 def test_brute_force_respects_memory():

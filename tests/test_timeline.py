@@ -63,6 +63,30 @@ def test_evaluate_is_order_sensitive():
     assert evaluate(forward, tables).makespan_s != evaluate(backward, tables).makespan_s
 
 
+def test_evaluate_returns_builtin_floats():
+    devices = [make_device(0), make_device(1, peak=2e12, disk=4e9),
+               make_device(2, dist=30.0)]
+    tables = make_tables([(1e12, 1e6, 5e8)] * 6, devices)
+    for stages in (((0, 1, 6),), ((1, 1, 2), (0, 3, 6)),
+                   ((2, 1, 1), (0, 2, 4), (1, 5, 6)), ((0, 1, 1), (1, 2, 6))):
+        tl = evaluate(Plan(tuple(PlanStage(*s) for s in stages)), tables)
+        finish_prev, prev = 0.0, None
+        for timing, (d, first, last) in zip(tl.stages, stages):
+            load = float(tables.load_s[d, first - 1, last])
+            comp = float(tables.comp_s[d, first - 1, last])
+            comm = 0.0 if prev is None else float(tables.comm_s[prev, d, first - 1])
+            start = max(load, finish_prev)
+            expected = (load, comm, comp, start, (start + comm) + comp,
+                        max(0.0, finish_prev - load))
+            got = (timing.load_s, timing.comm_s, timing.comp_s, timing.start_s,
+                   timing.finish_s, timing.wait_s)
+            assert [type(x) for x in got] == [float] * 6
+            assert got == expected
+            finish_prev, prev = timing.finish_s, d
+        assert type(tl.makespan_s) is float
+        assert tl.makespan_s == finish_prev
+
+
 def test_invalid_plans_rejected():
     tables = single_device_tables()
     with pytest.raises(PlanError):

@@ -124,10 +124,10 @@ def brute_force(tables: CostTables) -> tuple[float, Plan]:
             f"brute force would score {plans:,} plans on {K} devices and {L} layers, "
             f"over the limit of {MAX_ORACLE_PLANS:,}; use the solver instead")
 
+    fits = tables.fits.tolist()  # nested lists index faster than the array
     best_key, best = None, None
     for plan in enumerate_plans(K, L):
-        if not all(tables.fits[s.device, s.start_layer - 1, s.end_layer]
-                   for s in plan.stages):
+        if not all(fits[s.device][s.start_layer - 1][s.end_layer] for s in plan.stages):
             continue
         timeline = evaluate(plan, tables, check_memory=False)
         # the key starts with the makespan, so a longer plan cannot win

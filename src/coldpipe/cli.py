@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -123,7 +122,8 @@ def cmd_solve(args) -> int:
                  "start_layer": s.start_layer, "end_layer": s.end_layer}
                 for s in timeline.stages
             ],
-            "timeline": dataclasses.asdict(timeline),
+            "timeline": {**timeline._asdict(),
+                         "stages": [s._asdict() for s in timeline.stages]},
         }
         _emit(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK

@@ -111,7 +111,7 @@ def validate_plan(plan: Plan, tables: CostTables, check_memory: bool = True) -> 
         raise PlanError("plan has no stages")
     if plan.stages[-1].end_layer != tables.num_layers:
         raise PlanError(f"last stage must end at layer {tables.num_layers}")
-    prev_end = 0
+    prev_end = used = 0
     for stage in plan.stages:
         if stage.start_layer != prev_end + 1:
             raise PlanError(
@@ -122,7 +122,9 @@ def validate_plan(plan: Plan, tables: CostTables, check_memory: bool = True) -> 
         if not 0 <= stage.device < tables.num_devices:
             raise PlanError(f"unknown device index {stage.device}")
         prev_end = stage.end_layer
-    if len(set(plan.devices)) != len(plan.stages):
+        used |= 1 << stage.device
+    # reuse is reported only after every stage passed the checks above
+    if used.bit_count() != len(plan.stages):
         raise PlanError(f"devices reused across stages: {list(plan.devices)}")
     if check_memory:
         for stage in plan.stages:

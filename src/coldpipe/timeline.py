@@ -15,14 +15,13 @@ booked at the start of its active window, on the receiving device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cost_tables import CostTables
 from .dp_scheduler import Plan, validate_plan
 
 
-@dataclass(frozen=True)
-class StageTiming:
+class StageTiming(NamedTuple):
     """Resolved intervals for one pipeline stage on its device."""
 
     device: int
@@ -44,10 +43,9 @@ class StageTiming:
                 ("comm", self.start_s, comm_end), ("comp", comm_end, self.finish_s))
 
 
-@dataclass(frozen=True)
-class Timeline:
+class Timeline(NamedTuple):
     """Per-stage schedule plus the overall makespan.  `solve --out` writes
-    `dataclasses.asdict` of it, so field order is the JSON key order."""
+    its `_asdict()`, stages included, so field order is the JSON key order."""
 
     makespan_s: float
     stages: tuple[StageTiming, ...]
@@ -93,18 +91,8 @@ def evaluate(plan: Plan, tables: CostTables, check_memory: bool = True) -> Timel
         comm = 0.0 if prev_device is None else tables.comm_s.item(prev_device, d, i)
         start = max(load, finish_prev)
         finish = (start + comm) + comp
-        wait = max(0.0, finish_prev - load)
-        stages.append(StageTiming(
-            device=stage.device,
-            start_layer=stage.start_layer,
-            end_layer=stage.end_layer,
-            load_s=load,
-            comm_s=comm,
-            comp_s=comp,
-            start_s=start,
-            finish_s=finish,
-            wait_s=wait,
-        ))
+        stages.append(StageTiming(d, stage.start_layer, j, load, comm, comp,
+                                  start, finish, max(0.0, finish_prev - load)))
         finish_prev = finish
         prev_device = d
-    return Timeline(makespan_s=finish_prev, stages=tuple(stages))
+    return Timeline(finish_prev, tuple(stages))

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from coldpipe import baselines
 from coldpipe.baselines import (MAX_ORACLE_PLANS, brute_force, enumerate_plans,
                                 even_plan, heuristic_plan, heuristic_scores,
                                 plan_for_strategy, single_device_plan)
 from coldpipe.dp_scheduler import PlanStage, solve, validate_plan
 from coldpipe.errors import InfeasibleError, LimitError
+from coldpipe.experiment import build_tables, random_instance_suite
 from coldpipe.timeline import evaluate, tie_key
 from conftest import make_device, make_tables
 
@@ -140,6 +142,39 @@ def test_oracle_pick_does_not_depend_on_candidate_order():
     assert len(set(keys)) == len(keys)
     assert brute_force(tables)[1] == min(
         reversed(plans), key=lambda plan: tie_key(evaluate(plan, tables)))
+
+
+def test_oracle_scores_exactly_the_memory_feasible_candidates(monkeypatch):
+    calls = []
+    monkeypatch.setattr(baselines, "evaluate",
+                        lambda plan, *args, **kwargs: calls.append(plan) or
+                        evaluate(plan, *args, **kwargs))
+    row = (1e12, 1e6, 5e8)
+    # a segment of k of these layers needs k * 0.5 GB and 1 MB more
+    fleets = [make_tables([row] * 6, [make_device(0, memory=2.2e9),
+                                      make_device(1, memory=1.1e9),
+                                      make_device(2, memory=4.5e9)]),
+              make_tables([row] * 3, [make_device(0, memory=1e6)])]
+    for inst in random_instance_suite(150, seed=1):
+        tables = build_tables(inst.scenario, inst.scenario.token_lengths[0])
+        K, L = tables.num_devices, tables.num_layers
+        if tables.fits.sum() < K * L * (L + 1) // 2:  # some segment does not fit
+            fleets.append(tables)
+    assert len(fleets) >= 12
+    for tables in fleets:
+        feasible = []
+        for plan in enumerate_plans(tables.num_devices, tables.num_layers):
+            try:
+                validate_plan(plan, tables, check_memory=True)
+            except InfeasibleError:
+                continue
+            feasible.append(plan)
+        calls.clear()
+        try:
+            brute_force(tables)
+        except InfeasibleError:
+            assert not feasible
+        assert calls == feasible
 
 
 def test_brute_force_respects_memory():

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from coldpipe.cli import main
+from coldpipe.timeline import StageTiming, Timeline
 
 from conftest import TAB1_CONFIG
 
@@ -43,6 +44,17 @@ def test_solve_writes_json(tmp_path, capsys):
     assert payload["strategy"] == "even"
     assert len(payload["plan"]) == 4
     assert payload["timeline"]["makespan_s"] == payload["makespan_s"]
+
+
+def test_solve_json_keys_follow_the_record_fields(tmp_path, capsys):
+    out_path = tmp_path / "plan.json"
+    assert run(["solve", "--config", CONFIG, "--tokens", "2048",
+                "--strategy", "optimal_dp", "--out", str(out_path)], capsys)[0] == 0
+    timeline = json.loads(out_path.read_text())["timeline"]
+    assert list(timeline) == list(Timeline._fields)
+    assert timeline["stages"]
+    for stage in timeline["stages"]:
+        assert list(stage) == list(StageTiming._fields)
 
 
 def test_unknown_strategy_is_usage_error(capsys):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coldpipe.baselines import even_plan
-from coldpipe.dp_scheduler import Plan, PlanStage
-from coldpipe.errors import PlanError
+from coldpipe.dp_scheduler import Plan, PlanStage, validate_plan
+from coldpipe.errors import InfeasibleError, PlanError
 from coldpipe.timeline import evaluate
 from conftest import make_device, make_tables
 
@@ -101,6 +101,48 @@ def test_invalid_plans_rejected():
         evaluate(Plan(stages=(PlanStage(0, 1, 3),)), tables2)
 
 
+# (stages as (device, first, last), fault names): the first fault in
+# validate_plan's order of checks decides the exception and its message
+TWO_FAULT_PLANS = [
+    (((0, 1, 2), (0, 4, 4)), "gap + reuse",
+     "stage starting at layer 4 is not contiguous with previous end 2"),
+    (((0, 1, 2), (0, 3, 3), (5, 4, 4)), "reuse + out-of-range device",
+     "unknown device index 5"),
+    (((0, 1, 1), (-1, 2, 2), (0, 3, 4)), "negative device + reuse",
+     "unknown device index -1"),
+    (((0, 1, 2), (0, 3, 2), (1, 3, 4)), "empty stage + reuse",
+     "empty stage PlanStage(device=0, start_layer=3, end_layer=2)"),
+    (((0, 1, 1), (1, 3, 3)), "short last stage + gap",
+     "last stage must end at layer 4"),
+    (((0, 1, 2), (1, 3, 3), (0, 4, 4)), "reuse alone",
+     "devices reused across stages: [0, 1, 0]"),
+]
+
+
+@pytest.mark.parametrize("stages, faults, message", TWO_FAULT_PLANS,
+                         ids=[faults for _, faults, _ in TWO_FAULT_PLANS])
+def test_plan_error_precedence(stages, faults, message):
+    tables = make_tables([(1e12, 1e6, 5e8)] * 4, [make_device(0), make_device(1)])
+    plan = Plan(tuple(PlanStage(*s) for s in stages))
+    with pytest.raises(PlanError) as info:
+        validate_plan(plan, tables, check_memory=False)
+    assert type(info.value) is PlanError
+    assert str(info.value) == message
+
+
+def test_reuse_is_reported_before_memory():
+    # device 0 fits no layer, so this plan breaks memory too; reuse wins
+    tables = make_tables([(1e12, 1e6, 5e8)] * 4,
+                         [make_device(0, memory=1e6), make_device(1)])
+    plan = Plan((PlanStage(0, 1, 2), PlanStage(0, 3, 4)))
+    with pytest.raises(PlanError) as info:
+        validate_plan(plan, tables, check_memory=True)
+    assert type(info.value) is PlanError
+    assert str(info.value) == "devices reused across stages: [0, 0]"
+    with pytest.raises(InfeasibleError):
+        validate_plan(Plan((PlanStage(0, 1, 2), PlanStage(1, 3, 4))), tables)
+
+
 def test_memory_check_optional():
     tables = make_tables([(1e12, 1e6, 5e8)] * 4,
                          [make_device(0, memory=1e8)])  # fits no layer
@@ -109,6 +151,22 @@ def test_memory_check_optional():
         evaluate(plan, tables, check_memory=True)
     tl = evaluate(plan, tables, check_memory=False)
     assert tl.makespan_s > 0
+
+
+def test_records_are_immutable():
+    tl = evaluate(Plan((PlanStage(0, 1, 4),)), single_device_tables())
+    with pytest.raises(AttributeError):
+        tl.stages[0].load_s = 0.0
+    with pytest.raises(AttributeError):
+        tl.makespan_s = 0.0
+
+
+def test_phases_are_the_gantt_intervals(tab1_tables, fleet):
+    for s in evaluate(even_plan(fleet, 40), tab1_tables(8192)).stages:
+        comm_end = s.start_s + s.comm_s
+        assert s.phases == (("load", 0.0, s.load_s), ("wait", s.load_s, s.start_s),
+                            ("comm", s.start_s, comm_end),
+                            ("comp", comm_end, s.finish_s))
 
 
 def test_bubble_report_matches_recomputation(tab1_tables, fleet):

@@ -477,8 +477,9 @@ def test_sweep_with_brute_force_strategy(tmp_path, capsys):
 
 
 # sha256 of the output bytes at t=8192, recorded before the Gantt renderers
-# and `solve --out` were moved onto `StageTiming.phases` and
-# `dataclasses.asdict`: (gantt svg, gantt ascii, solve --out JSON).
+# were moved onto `StageTiming.phases` and `solve --out` onto the timeline
+# records' own field order (now their NamedTuple `_asdict()`); the bytes have
+# not changed since: (gantt svg, gantt ascii, solve --out JSON).
 PINNED_8192 = {
     "optimal_dp": (
         "c606480ee037d4c87cb985c8d73b1f8cad2ebe121e2eec1e0c7397a3ecea9240",

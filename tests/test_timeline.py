@@ -101,8 +101,8 @@ def test_invalid_plans_rejected():
         evaluate(Plan(stages=(PlanStage(0, 1, 3),)), tables2)
 
 
-# (stages as (device, first, last), fault names): the first fault in
-# validate_plan's order of checks decides the exception and its message
+# (stages as (device, first, last), the faults, the expected message): the
+# first fault in validate_plan's order of checks decides the exception
 TWO_FAULT_PLANS = [
     (((0, 1, 2), (0, 4, 4)), "gap + reuse",
      "stage starting at layer 4 is not contiguous with previous end 2"),

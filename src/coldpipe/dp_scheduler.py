@@ -12,22 +12,29 @@ vectorized step.  T's block reads only states of the level before,
 The fill reads only live input.  A block covers only its window: the splits
 i from the first to the last at which a predecessor state is finite, and
 the ends j past the first.  A T with no finite predecessor is skipped, and
-the fill stops at the first level with none live.  Given a bound on the
-optimum, a state (T, j, d) whose value plus LB(T, j, d) passes it stays
-+inf.  LB is 0 at j = L; before it, LB is the cheapest transfer of layer
-j's output from d to a device e outside T | {d}, plus the least compute of
-layers j+1..L on one such device, +inf when there is none.  It never
-exceeds what any plan through the state still adds: the next stage runs on
-some e and receives layer j's output from d, and each device computes every
-layer at one rate (`cost_tables.build`), so the later stages' compute is at
-least that of layers j+1..L on the fastest device left.  The bound is
-consistent, as in A* (Hart, Nilsson & Raphael 1968): along a transition
-(T, i, p) -> (T | {p}, j, d), the value grows by at least comm_s[p, d, i]
-+ comp_s[d, i, j], and that is at least LB(T, i, p) - LB(T | {p}, j, d).  So
-a state reached from a cut one is over the bound too, every value left
-finite is the unbounded one, and no state of an optimal or tied plan is cut
-(branch and bound inside the DP).  `solve` bounds the fill of a fleet of
-MIN_BOUNDED_FLEET or more devices by the optimum of half the fleet.
+the fill stops at the first level with none live.
+
+The fill is its own branch and bound (Land & Doig 1960).  Its incumbent
+starts at `bound`, +inf unless given, and after level 0 and after each
+block is written it drops to the least finite value at j = L there: the
+makespan of a complete plan already written.  A state (T, j, d) whose
+value plus LB(T, j, d) passes the incumbent stays +inf.  LB is 0 at j = L;
+before it, LB is the cheapest transfer of layer j's output from d to a
+device e outside T | {d}, plus the least compute of layers j+1..L on one
+such device, +inf when there is none.  It never exceeds what any plan
+through the state still adds: the next stage runs on some e and receives
+layer j's output from d, and each device computes every layer at one rate
+(`cost_tables.build`), so the later stages' compute is at least that of
+layers j+1..L on the fastest device left.  The bound is consistent, as in
+A* (Hart, Nilsson & Raphael 1968): along a transition (T, i, p) ->
+(T | {p}, j, d), the value grows by at least comm_s[p, d, i]
++ comp_s[d, i, j], and that is at least LB(T, i, p) - LB(T | {p}, j, d).
+The incumbent never increases, and each value it takes is a feasible
+plan's makespan, so it is never below the optimum.  A state cut at some
+time was over the incumbent then, so by consistency every state reached
+from it is over that incumbent, and over every later, smaller one.  So every finite value
+and back-pointer is the unbounded one, and no state of an optimal or tied
+plan is cut.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
@@ -59,16 +66,9 @@ from .cost_tables import MAX_TABLE_BYTES, CostTables
 from .errors import InfeasibleError, LimitError, PlanError
 
 
-# Devices from which `solve` first fills half the fleet to bound the full
-# fill.  Measured in-process on 2 vCPUs, four seeded fleets each, bounded
-# over unbounded solve time: K = 8 at L = 5-100 ran 0.40-1.00x, K = 9-12
-# 0.19-0.79x; K = 6-7 ran 0.68-1.30x, K = 4-5 1.01-1.42x, and the 300
-# small solves of `verify` (K <= 4) 1.16x.
-MIN_BOUNDED_FLEET = 8
-
-# Relative slack of the bound: a state is cut only when its value plus its
-# lower bound passes bound * (1 + PRUNE_SLACK), so rounding in the bound's
-# sums never cuts a state of an optimal or tied plan.
+# Relative slack of the incumbent: a state is cut only when its value plus
+# its lower bound passes incumbent * (1 + PRUNE_SLACK), so rounding in the
+# bound's sums never cuts a state of an optimal or tied plan.
 PRUNE_SLACK = 1e-9
 
 
@@ -200,26 +200,32 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
     raises LimitError, before any allocation, when the tables and the
     fill's scratch pass MAX_TABLE_BYTES.
 
-    A state whose value plus LB(T, j, d) passes bound * (1 + PRUNE_SLACK)
-    stays +inf; the module docstring defines LB and why no optimal or tied
-    state is cut.  A block covers only its window of rows i, from the first
-    to the last finite predecessor, and ends j past the first; every finite
-    candidate lies in it, so every first minimum is the unwindowed one."""
+    `bound` is the starting incumbent.  After level 0 and after each block
+    is written, the incumbent drops to the least value at j = L there, and
+    a state whose value plus LB(T, j, d) passes incumbent * (1 +
+    PRUNE_SLACK) stays +inf; the module docstring defines LB and why no
+    optimal or tied state is cut.  A block covers only its window of rows
+    i, from the first to the last finite predecessor, and ends j past the
+    first; every finite candidate lies in it, so every first minimum is the
+    unwindowed one."""
     L, K = tables.num_layers, tables.num_devices
     check_fill_bytes(K, L)
-    limit = bound * (1 + PRUNE_SLACK)
     comp_rest = tables.comp_s[:, :, L]  # (d, j): compute of layers j+1..L
 
-    def over_bound(vals: np.ndarray, nexts: np.ndarray, first: int) -> np.ndarray:
-        """Where vals, the states (T, j, d) for d in nexts and j from first,
-        plus LB(T, j, d) pass the limit."""
-        free = (nexts[:, None] != nexts)[:, :, None]  # (d, e): e is not d
-        lb = np.where(free, comp_rest[nexts, first:], np.inf).min(axis=1)
-        # before j = L, layer j's output still goes from d to a free device
-        lb[:, :L - first] += np.where(free, tables.comm_s[nexts[:, None], nexts, first:L],
-                                      np.inf).min(axis=1)
-        lb[:, -1] = 0.0
-        return vals + lb > limit
+    def prune(vals: np.ndarray, nexts: np.ndarray, first: int) -> None:
+        """Set +inf each of vals, the states (T, j, d) for d in nexts and j
+        from first, whose value plus LB(T, j, d) passes the incumbent, then
+        lower the incumbent to the least of them at j = L."""
+        nonlocal bound
+        if bound < math.inf:
+            free = (nexts[:, None] != nexts)[:, :, None]  # (d, e): e is not d
+            lb = np.where(free, comp_rest[nexts, first:], np.inf).min(axis=1)
+            # before j = L, layer j's output still goes from d to a free device
+            lb[:, :L - first] += np.where(free, tables.comm_s[nexts[:, None], nexts, first:L],
+                                          np.inf).min(axis=1)
+            lb[:, -1] = 0.0
+            vals[vals + lb > bound * (1 + PRUNE_SLACK)] = np.inf
+        bound = min(bound, vals[:, -1].min())
 
     # Infeasible segments cost +inf.
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
@@ -232,8 +238,7 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
     # T = 0, row 0 for every d: a single segment 1..j on device d, no
     # communication; split stays 0.
     values[0] = (tables.load_s[:, 0, :] + comp_or_inf[:, 0, :]).T
-    if bound < math.inf:
-        values[0][over_bound(values[0].T, np.arange(K), 0).T] = np.inf
+    prune(values[0].T, np.arange(K), 0)
 
     def fill(n: int) -> bool:
         """Level |T| = n: one candidate block per live T, (next device d,
@@ -272,8 +277,7 @@ def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
             for half in halves:
                 cand_rows[half].argmin(axis=1, out=best[half])
             vals = cand_rows[each_d, best, each_j[:wj]]
-            if bound < math.inf:
-                vals[over_bound(vals, nexts, a + 1)] = np.inf
+            prune(vals, nexts, a + 1)
             out = rows[nexts]
             values[out, a + 1:, nexts] = vals
             split[out, a + 1:, nexts] = a + best // n
@@ -355,21 +359,9 @@ def reconstruct(table: DpTable, final_mask: int, final_device: int) -> Plan:
 
 
 def solve(tables: CostTables) -> SolveResult:
-    """Exact optimum of the cold-start makespan for this scenario.  The fill
-    of MIN_BOUNDED_FLEET or more devices is bounded by the optimum of the
-    ceil(K/2) devices fastest to load and run the whole model alone: a
-    feasible plan of the full fleet, so no optimal or tied state is cut."""
-    K, L = tables.num_devices, tables.num_layers
-    bound = math.inf
-    if K >= MIN_BOUNDED_FLEET:
-        check_fill_bytes(K, L)  # refuse before the sub-fleet runs
-        alone = tables.load_s[:, 0, L] + tables.comp_s[:, 0, L]
-        fastest = np.sort(np.argsort(alone, kind="stable")[:(K + 1) // 2])
-        try:
-            bound = best_final_state(compute_table(tables.subset(fastest)))[0]
-        except InfeasibleError:
-            pass
-    table = compute_table(tables, bound)
+    """Exact optimum of the cold-start makespan for this scenario, from one
+    fill bounded by the best complete plan it has written."""
+    table = compute_table(tables)
     makespan, mask, dev = best_final_state(table)
     plan = reconstruct(table, mask, dev)
     validate_plan(plan, tables, check_memory=True)

@@ -54,7 +54,7 @@ def test_dp_counters_table_bytes(monkeypatch):
 @pytest.mark.parametrize("index", range(8))
 def test_plans_equal_the_fleet_ladder_references(index, monkeypatch):
     # the exact solver's plan, not only its makespan, is the reference's on
-    # every rung of fleets 0-7, the bounded K = 8-12 fills among them
+    # every rung of fleets 0-7, K = 8-12, each fill bounded by its own plans
     fleet = _load("fleet", monkeypatch)
     ref = json.loads((BENCHMARK / "ref" / "fleet_ladder.json").read_text())["fleets"]
     for k in fleet.LADDER:

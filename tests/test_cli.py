@@ -598,7 +598,7 @@ def test_limit_error_is_a_value_error():
 def test_internal_value_error_propagates(monkeypatch):
     from coldpipe import dp_scheduler
 
-    def broken(tables, bound):
+    def broken(*args, **kwargs):
         raise ValueError("broadcast")
 
     monkeypatch.setattr(dp_scheduler, "compute_table", broken)

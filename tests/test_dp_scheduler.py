@@ -37,6 +37,14 @@ def make_tables_from_scenario(sc, t):
     return cost_tables.build(build_profiles(sc.model, t), list(sc.devices), t)
 
 
+def unbounded_table(monkeypatch, tables):
+    """The fill with no state cut by its incumbent: PRUNE_SLACK at +inf
+    lifts every incumbent to +inf."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dp_scheduler, "PRUNE_SLACK", math.inf)
+        return compute_table(tables)
+
+
 def test_table_bytes_estimate():
     # float64 values plus two back-pointer tables, (2**(K-1), L+1, K) each;
     # the back-pointers are int8 up to L = 128 and int16 past it
@@ -290,12 +298,6 @@ def test_oracle_breaks_ties_like_the_solver():
     assert brute_force(tables)[1] == solve(tables).plan
 
 
-def test_oracle_breaks_ties_like_the_bounded_solver(monkeypatch):
-    # a sub-fleet's bound keeps every state of a tied optimum
-    monkeypatch.setattr(dp_scheduler, "MIN_BOUNDED_FLEET", 0)
-    test_oracle_breaks_ties_like_the_solver()
-
-
 def test_deterministic_plans():
     instances = random_instance_suite(10, seed=5)
     for inst in instances:
@@ -354,11 +356,11 @@ def test_solver_beats_or_matches_every_baseline(tab1_tables, fleet):
                                     check_memory=check).makespan_s * (1 + REL)
 
 
-def test_table_shape_and_unreachable_states():
+def test_table_shape_and_unreachable_states(monkeypatch):
     rows = [(1e12, 1e6, 5e8)] * 3
     devices = [make_device(0), make_device(1)]
     tables = make_tables(rows, devices)
-    table = compute_table(tables)
+    table = unbounded_table(monkeypatch, tables)
     # state (T, j, d), T the devices before the last stage's d, sits at row
     # squeeze(T, d): row 0 holds T = 0, row 1 holds T = {1} for d = 0 and
     # T = {0} for d = 1
@@ -447,18 +449,19 @@ def lower_bound(tables, t_mask, d):
     return lb
 
 
-def check_table_contract(tables, bound=math.inf):
+def check_table_contract(tables, table, bound=math.inf, optimum=math.inf):
     """Every state of the fill, not only the optimum's chain: a one-stage
     state (split 0) has T = 0 and costs load + compute; any other finite
     state's (split i, predecessor p) is the first minimum of its candidate
     column in (i, p) order, recomputed in the fill's order of operations, p
     is in T, the predecessor is finite and the value is that candidate bit
-    for bit.  A finite state's value plus LB(T, j, d) is within the
-    bound; a +inf state has no finite candidate, or its first minimum plus
-    LB passes the bound.  Returns the table."""
-    table = compute_table(tables, bound)
+    for bit.  A finite state's value plus LB(T, j, d) is within `bound`,
+    the fill's starting incumbent; a +inf state has no finite candidate, or
+    its first minimum plus LB passes `optimum`, below which no incumbent
+    goes.  Both limits carry PRUNE_SLACK.  Returns the table."""
     K, L = tables.num_devices, tables.num_layers
     limit = bound * (1 + dp_scheduler.PRUNE_SLACK)
+    cut = optimum * (1 + dp_scheduler.PRUNE_SLACK)
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
     for d in range(K):
         others = [p for p in range(K) if p != d]
@@ -476,7 +479,7 @@ def check_table_contract(tables, bound=math.inf):
                     base = tables.load_s[d, 0] + comp_or_inf[d, 0]
                     assert (i == 0).all()
                     assert np.array_equal(value[j], base[j])
-                    assert (np.isinf(base) | (base + lb > limit))[~finite].all()
+                    assert (np.isinf(base) | (base + lb > cut))[~finite].all()
                     continue
                 preds = np.array(members)
                 prev = np.stack([table.values[squeeze(t_mask ^ (1 << p), p), :, p]
@@ -492,109 +495,110 @@ def check_table_contract(tables, bound=math.inf):
                 assert np.array_equal(value[j], cand[i, k, j])
                 assert np.array_equal(i * n + k, flat.argmin(axis=0)[j])
                 first = flat.min(axis=0)
-                assert (np.isinf(first) | (first + lb > limit))[~finite].all()
+                assert (np.isinf(first) | (first + lb > cut))[~finite].all()
     return table
 
 
-def test_every_state_keeps_the_table_contract():
+def test_every_state_keeps_the_table_contract(monkeypatch):
+    # unbounded, a state is +inf only when it has no finite candidate
     layers, devices = _metamorphic_fleet(0, 6)
-    check_table_contract(make_tables(layers, devices))
-    for instance in random_instance_suite(40, seed=11):
-        check_table_contract(suite_tables(instance))
+    cases = [make_tables(layers, devices)]
+    cases += [suite_tables(instance) for instance in random_instance_suite(40, seed=11)]
+    for tables in cases:
+        check_table_contract(tables, unbounded_table(monkeypatch, tables))
 
 
 def test_bounded_fill_prunes_only_over_the_bound(monkeypatch):
-    # the bound at the optimum itself, the tightest one allowed: the states
-    # of every optimal or tied plan survive, so the plan is the unbounded one
-    monkeypatch.setattr(dp_scheduler, "MIN_BOUNDED_FLEET", 0)
+    # the fill's own running incumbent, and the optimum itself as the
+    # starting one, the tightest allowed: the states of every optimal or
+    # tied plan survive, so the plan is the unbounded one
     layers, devices = _metamorphic_fleet(0, 9)
     cases = [make_tables(layers, devices)]
     cases += [suite_tables(instance) for instance in random_instance_suite(40, seed=11)]
-    bounded_cases = 0
+    cut_cases = [0, 0]  # per starting incumbent: +inf, the optimum
     for tables in cases:
-        full = compute_table(tables)
+        full = unbounded_table(monkeypatch, tables)
         try:
             optimum, mask, dev = best_final_state(full)
         except InfeasibleError:
             continue
-        bounded = check_table_contract(tables, optimum)
-        finite = np.isfinite(bounded.values)
-        assert np.array_equal(bounded.values[finite], full.values[finite])
-        # every state within the bound survives
+        plan = reconstruct(full, mask, dev)
         K = tables.num_devices
         limit = optimum * (1 + dp_scheduler.PRUNE_SLACK)
-        for row in range(1 << (K - 1)):
-            for d in range(K):
-                low = (1 << d) - 1
-                t_mask = (row & low) | ((row & ~low) << 1)  # squeeze's inverse
-                within = full.values[row, :, d] + lower_bound(tables, t_mask, d) <= limit
-                assert finite[row, within, d].all()
-        assert best_final_state(bounded) == (optimum, mask, dev)
-        plan = reconstruct(full, mask, dev)
-        assert reconstruct(bounded, mask, dev) == plan
-        # solve, bounding every fleet, bounds it by a sub-fleet
+        for k, bound in enumerate((math.inf, optimum)):
+            bounded = check_table_contract(tables, compute_table(tables, bound), bound, optimum)
+            finite = np.isfinite(bounded.values)
+            for name in ("values", "split", "prev_device"):
+                assert np.array_equal(getattr(bounded, name)[finite], getattr(full, name)[finite])
+            # every state within the optimum survives
+            for row in range(1 << (K - 1)):
+                for d in range(K):
+                    low = (1 << d) - 1
+                    t_mask = (row & low) | ((row & ~low) << 1)  # squeeze's inverse
+                    within = full.values[row, :, d] + lower_bound(tables, t_mask, d) <= limit
+                    assert finite[row, within, d].all()
+            assert best_final_state(bounded) == (optimum, mask, dev)
+            assert reconstruct(bounded, mask, dev) == plan
+            cut_cases[k] += bool((~finite & np.isfinite(full.values)).any())
         assert solve(tables) == dp_scheduler.SolveResult(makespan_s=optimum, plan=plan)
-        bounded_cases += bool((~finite & np.isfinite(full.values)).any())
-    assert bounded_cases > 1  # the bound cut states, and not only on one instance
+    # the bound cut states, and not only on one instance
+    assert min(cut_cases) > 1
 
 
 @pytest.fixture
 def fills(monkeypatch):
-    """(device count, bound) of every compute_table call, in order."""
+    """The table of every compute_table call, in order."""
     calls = []
     fill = dp_scheduler.compute_table
 
-    def counted(tables, bound=math.inf):
-        calls.append((tables.num_devices, bound))
-        return fill(tables, bound)
+    def counted(*args, **kwargs):
+        calls.append(fill(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(dp_scheduler, "compute_table", counted)
     return calls
 
 
-def test_small_solves_fill_once(fills, tab1_tables):
-    # the sweep's and verify's fleets are smaller than MIN_BOUNDED_FLEET: no
-    # sub-fleet
+def test_every_solve_fills_once(fills, tab1_tables):
     solve(tab1_tables())
-    assert fills == [(4, math.inf)]
+    assert len(fills) == 1
     for instance in random_instance_suite(300, 0):
         fills.clear()
         try:
             solve(suite_tables(instance))
         except InfeasibleError:
             pass
-        assert fills == [(len(instance.scenario.devices), math.inf)]
+        assert len(fills) == 1
+    for num_devices in (8, 10):
+        fills.clear()
+        solve(make_tables(*_metamorphic_fleet(0, num_devices)))
+        assert len(fills) == 1
 
 
-def test_large_solve_is_bounded_by_half_the_fleet(fills):
-    # K = 10 at 60 layers: the five devices fastest alone fill first, and
-    # their optimum bounds the last fill, the full fleet's
-    layers, devices = _metamorphic_fleet(0, 10)
-    tables = make_tables(layers, devices)
+def assert_solve_is_unbounded_plan(monkeypatch, fills, tables):
+    """solve fills once, cuts states, and returns the unbounded table's plan."""
     result = solve(tables)
-    (sub, unbounded), (full, bound) = fills
-    assert (sub, unbounded, full) == (5, math.inf, 10)
-    alone = tables.load_s[:, 0, 60] + tables.comp_s[:, 0, 60]
-    fastest = sorted(np.argsort(alone, kind="stable")[:5])
-    assert bound == solve(make_tables(layers, [devices[k] for k in fastest])).makespan_s
-    assert result.makespan_s <= bound < math.inf
-    table = dp_scheduler.compute_table(tables)
-    makespan, mask, dev = best_final_state(table)
-    assert result == dp_scheduler.SolveResult(makespan, reconstruct(table, mask, dev))
+    (table,) = fills
+    full = unbounded_table(monkeypatch, tables)
+    assert (np.isinf(table.values) & np.isfinite(full.values)).any()
+    makespan, mask, dev = best_final_state(full)
+    assert result == dp_scheduler.SolveResult(makespan, reconstruct(full, mask, dev))
 
 
-def test_infeasible_sub_fleet_leaves_the_fill_unbounded(fills):
-    # each device holds 7 of the 60 layers: five hold 35 and cannot run the
-    # model, ten can
+def test_large_solve_bounds_its_own_fill(monkeypatch, fills):
+    # K = 10 at 60 layers, the benchmark's scale
+    layers, devices = _metamorphic_fleet(0, 10)
+    assert_solve_is_unbounded_plan(monkeypatch, fills, make_tables(layers, devices))
+
+
+def test_fleet_whose_fastest_half_cannot_run_the_model_is_bounded(monkeypatch, fills):
+    # each device holds 11 of the 60 layers: five hold 55 and cannot run the
+    # model, ten can; the fill cuts states once a complete plan is written
     workload, activation, params = 4e11, 2e7, 5e8
-    devices = [make_device(k, peak=1e13 * (1 + k / 10), memory=params * 7 + activation)
+    devices = [make_device(k, peak=1e13 * (1 + k / 10), memory=params * 11 + activation)
                for k in range(10)]
     tables = make_tables([(workload, activation, params)] * 60, devices)
-    result = solve(tables)
-    assert fills == [(5, math.inf), (10, math.inf)]
-    table = dp_scheduler.compute_table(tables)
-    makespan, mask, dev = best_final_state(table)
-    assert result == dp_scheduler.SolveResult(makespan, reconstruct(table, mask, dev))
+    assert_solve_is_unbounded_plan(monkeypatch, fills, tables)
 
 
 def test_unused_device_deletion_keeps_plan(k8_fleet):
@@ -618,13 +622,11 @@ def test_more_memory_never_raises_optimum(k8_fleet):
 @pytest.mark.parametrize("layers_per_device", [8, 12, 20, 61])
 def test_identical_devices_run_in_descending_order(fills, layers_per_device):
     # every plan ties with its mirror images; the tie key takes the smallest
-    # mask, then the smallest device from the last stage back.  Eight
-    # devices are bounded by four, which hold the model from 20 layers each:
-    # the mirror images tie at the optimum, so the bound cuts none of them
+    # mask, then the smallest device from the last stage back.  The mirror
+    # images tie at the optimum, so the fill's incumbent cuts none of them
     workload, activation, params = 4e11, 2e7, 5e8
     devices = [make_device(k, memory=params * layers_per_device + activation)
                for k in range(8)]
     plan = solve(make_tables([(workload, activation, params)] * 60, devices)).plan
     assert plan.devices == tuple(range(len(plan.stages) - 1, -1, -1))
-    assert [k for k, _ in fills] == [4, 8]
-    assert (fills[-1][1] < math.inf) == (layers_per_device >= 15)
+    assert len(fills) == 1

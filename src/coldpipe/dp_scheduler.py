@@ -15,26 +15,25 @@ the ends j past the first.  A T with no finite predecessor is skipped, and
 the fill stops at the first level with none live.
 
 The fill is its own branch and bound (Land & Doig 1960).  Its incumbent
-starts at `bound`, +inf unless given, and after level 0 and after each
-block is written it drops to the least finite value at j = L there: the
-makespan of a complete plan already written.  A state (T, j, d) whose
-value plus LB(T, j, d) passes the incumbent stays +inf.  LB is 0 at j = L;
-before it, LB is the cheapest transfer of layer j's output from d to a
-device e outside T | {d}, plus the least compute of layers j+1..L on one
-such device, +inf when there is none.  It never exceeds what any plan
-through the state still adds: the next stage runs on some e and receives
-layer j's output from d, and each device computes every layer at one rate
-(`cost_tables.build`), so the later stages' compute is at least that of
-layers j+1..L on the fastest device left.  The bound is consistent, as in
-A* (Hart, Nilsson & Raphael 1968): along a transition (T, i, p) ->
-(T | {p}, j, d), the value grows by at least comm_s[p, d, i]
-+ comp_s[d, i, j], and that is at least LB(T, i, p) - LB(T | {p}, j, d).
-The incumbent never increases, and each value it takes is a feasible
-plan's makespan, so it is never below the optimum.  A state cut at some
-time was over the incumbent then, so by consistency every state reached
-from it is over that incumbent, and over every later, smaller one.  So every finite value
-and back-pointer is the unbounded one, and no state of an optimal or tied
-plan is cut.
+starts at +inf, and after level 0 and after each block is written it drops
+to the least finite value at j = L there: the makespan of a complete plan
+already written.  A state (T, j, d) whose value plus LB(T, j, d) passes the
+incumbent stays +inf.  LB is 0 at j = L; before it, LB is the cheapest
+transfer of layer j's output from d to a device e outside T | {d}, plus the
+least compute of layers j+1..L on one such device, +inf when there is none.
+It never exceeds what any plan through the state still adds: the next stage
+runs on some e and receives layer j's output from d, and each device
+computes every layer at one rate (`cost_tables.build`), so the later
+stages' compute is at least that of layers j+1..L on the fastest device
+left.  The bound is consistent, as in A* (Hart, Nilsson & Raphael 1968):
+along a transition (T, i, p) -> (T | {p}, j, d), the value grows by at
+least comm_s[p, d, i] + comp_s[d, i, j], and that is at least
+LB(T, i, p) - LB(T | {p}, j, d).  The incumbent never increases, and each
+value it takes is a feasible plan's makespan, so it is never below the
+optimum.  A state cut at some time was over the incumbent then, so by
+consistency every state reached from it is over that incumbent, and over
+every later, smaller one.  So every finite value and back-pointer is the
+unbounded one, and no state of an optimal or tied plan is cut.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
@@ -195,22 +194,22 @@ def check_fill_bytes(num_devices: int, num_layers: int) -> None:
             f"scratch, over the limit of {MAX_TABLE_BYTES:,} bytes")
 
 
-def compute_table(tables: CostTables, bound: float = math.inf) -> DpTable:
+def compute_table(tables: CostTables) -> DpTable:
     """Fill the (T, j, d) table bottom-up, one popcount of T at a time;
     raises LimitError, before any allocation, when the tables and the
     fill's scratch pass MAX_TABLE_BYTES.
 
-    `bound` is the starting incumbent.  After level 0 and after each block
-    is written, the incumbent drops to the least value at j = L there, and
-    a state whose value plus LB(T, j, d) passes incumbent * (1 +
-    PRUNE_SLACK) stays +inf; the module docstring defines LB and why no
-    optimal or tied state is cut.  A block covers only its window of rows
-    i, from the first to the last finite predecessor, and ends j past the
-    first; every finite candidate lies in it, so every first minimum is the
-    unwindowed one."""
+    The incumbent starts at +inf.  After level 0 and after each block is
+    written, it drops to the least value at j = L there, and a state whose
+    value plus LB(T, j, d) passes incumbent * (1 + PRUNE_SLACK) stays +inf;
+    the module docstring defines LB and why no optimal or tied state is
+    cut.  A block covers only its window of rows i, from the first to the
+    last finite predecessor, and ends j past the first; every finite
+    candidate lies in it, so every first minimum is the unwindowed one."""
     L, K = tables.num_layers, tables.num_devices
     check_fill_bytes(K, L)
     comp_rest = tables.comp_s[:, :, L]  # (d, j): compute of layers j+1..L
+    bound = math.inf  # the incumbent
 
     def prune(vals: np.ndarray, nexts: np.ndarray, first: int) -> None:
         """Set +inf each of vals, the states (T, j, d) for d in nexts and j

@@ -449,19 +449,27 @@ def lower_bound(tables, t_mask, d):
     return lb
 
 
-def check_table_contract(tables, table, bound=math.inf, optimum=math.inf):
+def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
     """Every state of the fill, not only the optimum's chain: a one-stage
     state (split 0) has T = 0 and costs load + compute; any other finite
     state's (split i, predecessor p) is the first minimum of its candidate
     column in (i, p) order, recomputed in the fill's order of operations, p
     is in T, the predecessor is finite and the value is that candidate bit
-    for bit.  A finite state's value plus LB(T, j, d) is within `bound`,
-    the fill's starting incumbent; a +inf state has no finite candidate, or
-    its first minimum plus LB passes `optimum`, below which no incumbent
-    goes.  Both limits carry PRUNE_SLACK.  Returns the table."""
+    for bit.  The incumbent as T's block was written is replayed from the
+    table: +inf for T = 0, then the least value at j = L of level 0 and of
+    each block before T's, sets T in combinations order.  A finite state's
+    value plus LB(T, j, d) is within incumbent * (1 + slack); a +inf state
+    has no finite candidate, or its first minimum plus LB passes that limit.
+    Returns the table."""
     K, L = tables.num_devices, tables.num_layers
-    limit = bound * (1 + dp_scheduler.PRUNE_SLACK)
-    cut = optimum * (1 + dp_scheduler.PRUNE_SLACK)
+    finals = table.values[:, L, :]
+    incumbent, best = {0: math.inf}, finals[0].min()
+    for n in range(1, K):
+        for members in combinations(range(K), n):
+            t_mask = sum(1 << p for p in members)
+            incumbent[t_mask] = best
+            best = min(best, *(finals[squeeze(t_mask, d), d]
+                               for d in range(K) if not (t_mask >> d) & 1))
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
     for d in range(K):
         others = [p for p in range(K) if p != d]
@@ -470,6 +478,7 @@ def check_table_contract(tables, table, bound=math.inf, optimum=math.inf):
                 t_mask = sum(1 << p for p in members)
                 row = squeeze(t_mask, d)
                 lb = lower_bound(tables, t_mask, d)
+                limit = incumbent[t_mask] * (1 + slack)
                 value = table.values[row, :, d]
                 finite = np.isfinite(value)
                 (j,) = np.nonzero(finite)
@@ -479,7 +488,7 @@ def check_table_contract(tables, table, bound=math.inf, optimum=math.inf):
                     base = tables.load_s[d, 0] + comp_or_inf[d, 0]
                     assert (i == 0).all()
                     assert np.array_equal(value[j], base[j])
-                    assert (np.isinf(base) | (base + lb > cut))[~finite].all()
+                    assert np.isinf(base)[~finite].all()
                     continue
                 preds = np.array(members)
                 prev = np.stack([table.values[squeeze(t_mask ^ (1 << p), p), :, p]
@@ -495,7 +504,7 @@ def check_table_contract(tables, table, bound=math.inf, optimum=math.inf):
                 assert np.array_equal(value[j], cand[i, k, j])
                 assert np.array_equal(i * n + k, flat.argmin(axis=0)[j])
                 first = flat.min(axis=0)
-                assert (np.isinf(first) | (first + lb > cut))[~finite].all()
+                assert (np.isinf(first) | (first + lb > limit))[~finite].all()
     return table
 
 
@@ -505,17 +514,16 @@ def test_every_state_keeps_the_table_contract(monkeypatch):
     cases = [make_tables(layers, devices)]
     cases += [suite_tables(instance) for instance in random_instance_suite(40, seed=11)]
     for tables in cases:
-        check_table_contract(tables, unbounded_table(monkeypatch, tables))
+        check_table_contract(tables, unbounded_table(monkeypatch, tables), slack=math.inf)
 
 
 def test_bounded_fill_prunes_only_over_the_bound(monkeypatch):
-    # the fill's own running incumbent, and the optimum itself as the
-    # starting one, the tightest allowed: the states of every optimal or
-    # tied plan survive, so the plan is the unbounded one
+    # the fill's own running incumbent cuts only states over it: the states
+    # of every optimal or tied plan survive, so the plan is the unbounded one
     layers, devices = _metamorphic_fleet(0, 9)
     cases = [make_tables(layers, devices)]
     cases += [suite_tables(instance) for instance in random_instance_suite(40, seed=11)]
-    cut_cases = [0, 0]  # per starting incumbent: +inf, the optimum
+    cut_cases = 0
     for tables in cases:
         full = unbounded_table(monkeypatch, tables)
         try:
@@ -525,24 +533,23 @@ def test_bounded_fill_prunes_only_over_the_bound(monkeypatch):
         plan = reconstruct(full, mask, dev)
         K = tables.num_devices
         limit = optimum * (1 + dp_scheduler.PRUNE_SLACK)
-        for k, bound in enumerate((math.inf, optimum)):
-            bounded = check_table_contract(tables, compute_table(tables, bound), bound, optimum)
-            finite = np.isfinite(bounded.values)
-            for name in ("values", "split", "prev_device"):
-                assert np.array_equal(getattr(bounded, name)[finite], getattr(full, name)[finite])
-            # every state within the optimum survives
-            for row in range(1 << (K - 1)):
-                for d in range(K):
-                    low = (1 << d) - 1
-                    t_mask = (row & low) | ((row & ~low) << 1)  # squeeze's inverse
-                    within = full.values[row, :, d] + lower_bound(tables, t_mask, d) <= limit
-                    assert finite[row, within, d].all()
-            assert best_final_state(bounded) == (optimum, mask, dev)
-            assert reconstruct(bounded, mask, dev) == plan
-            cut_cases[k] += bool((~finite & np.isfinite(full.values)).any())
+        bounded = check_table_contract(tables, compute_table(tables))
+        finite = np.isfinite(bounded.values)
+        for name in ("values", "split", "prev_device"):
+            assert np.array_equal(getattr(bounded, name)[finite], getattr(full, name)[finite])
+        # every state within the optimum survives
+        for row in range(1 << (K - 1)):
+            for d in range(K):
+                low = (1 << d) - 1
+                t_mask = (row & low) | ((row & ~low) << 1)  # squeeze's inverse
+                within = full.values[row, :, d] + lower_bound(tables, t_mask, d) <= limit
+                assert finite[row, within, d].all()
+        assert best_final_state(bounded) == (optimum, mask, dev)
+        assert reconstruct(bounded, mask, dev) == plan
+        cut_cases += bool((~finite & np.isfinite(full.values)).any())
         assert solve(tables) == dp_scheduler.SolveResult(makespan_s=optimum, plan=plan)
     # the bound cut states, and not only on one instance
-    assert min(cut_cases) > 1
+    assert cut_cases > 1
 
 
 @pytest.fixture

@@ -9,10 +9,10 @@ time, and the whole (d, j) block for one T is computed in a single
 vectorized step.  T's block reads only states of the level before,
 (T - {p}, i, p), and writes only its own states (T, j, d).
 
-The fill reads only live input.  A block covers only its window: the splits
-i from the first to the last at which a predecessor state is finite, and
-the ends j past the first.  A T with no finite predecessor is skipped, and
-the fill stops at the first level with none live.
+The fill reads only live input.  A block scores only its rows (split i,
+predecessor p) whose state (T - {p}, i, p) is finite, in (i, p) order, and
+only the ends j past the first such split.  A T with no finite predecessor
+is skipped, and the fill stops at the first level with none live.
 
 The fill is its own branch and bound (Land & Doig 1960).  Its incumbent
 starts at +inf, and after level 0 and after each block is written it drops
@@ -30,10 +30,28 @@ along a transition (T, i, p) -> (T | {p}, j, d), the value grows by at
 least comm_s[p, d, i] + comp_s[d, i, j], and that is at least
 LB(T, i, p) - LB(T | {p}, j, d).  The incumbent never increases, and each
 value it takes is a feasible plan's makespan, so it is never below the
-optimum.  A state cut at some time was over the incumbent then, so by
-consistency every state reached from it is over that incumbent, and over
-every later, smaller one.  So every finite value and back-pointer is the
-unbounded one, and no state of an optimal or tied plan is cut.
+optimum.
+
+A state is also cut by dominance (Ibaraki 1977; Morin & Marsten 1976): a
+block's state (T, j, d) stays +inf when some x in T has V(T - {x}, j, d)
+<= V(T, j, d).  The subset states are one level down and already final.  The
+completions of (T, j, d) use only devices outside T | {d}, so they also
+complete (T - {x}, j, d).  The timeline's `max(load, upstream) + comm +
+comp` does not decrease in the upstream finish, and float `max` and `+`
+are monotone under rounding, so each completion through T - {x} ends no
+later.  Every stored finite value is a real prefix's finish, even where
+earlier cuts raised it, so a cut only drops a state for a real plan with
+one device fewer that is no worse.
+
+Neither cut touches the plan that the fill without them picks.  Its states
+are within the optimum, so by consistency no incumbent cuts them.  If
+dominance cut one of them, a plan with one device fewer would end no
+later, yet `best_final_state` and `tie_key` put fewer devices first at an
+equal makespan.  So, level by level, each state of the picked chain keeps
+its value and first minimum: the other candidates of its column were only
+raised.  Off the chain, a finite value is the first minimum over the
+stored predecessors, which may exceed the fill without cuts.  This rests
+on the tie order; a change to `tie_key` must revisit the rule.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
@@ -49,8 +67,8 @@ transition takes one argmin over candidates whose flattened rows run over
 (split i, predecessor device p), both ascending.  argmin returns the first
 minimum, so the array order is the key's order: finish time, then the
 stage's start layer i+1, then the device of the stage before it.  A
-predecessor state holds the smallest finish time of its prefix, which is
-the next element of the key.
+predecessor state on the picked chain holds the smallest finish time of its
+prefix, which is the next element of the key.
 """
 
 from __future__ import annotations
@@ -163,9 +181,11 @@ def squeeze(mask, device):
 class DpTable:
     """Solved state table plus back-pointers for plan reconstruction.  Each
     array is (2**(K-1), L+1, K), state (T, j, d) at [squeeze(T, d), j, d];
-    the pointers are defined where `values` is finite."""
+    the pointers are defined where `values` is finite.  A finite value is
+    the first minimum over the stored predecessors; on the picked plan's
+    chain it is the uncut fill's value."""
 
-    values: np.ndarray       # float64 completion time; +inf if unreachable
+    values: np.ndarray       # float64 completion time; +inf if unreachable or cut
     split: np.ndarray        # pointer_dtype: final-segment boundary i (0 = one stage)
     prev_device: np.ndarray  # pointer_dtype: predecessor device, read if split > 0
     num_layers: int
@@ -185,7 +205,8 @@ def check_fill_bytes(num_devices: int, num_layers: int) -> None:
     K, L = num_devices, num_layers
     size = (L + 1) ** 2
     # the scratch: a level's block and argmin's copy of the larger half of
-    # it (blocks are split over d), at the level where they are largest
+    # it (blocks are split over d), at the level where they are largest; a
+    # half's gathers are freed before its copy is made, and are no larger
     scratch = 8 * size * max(n * (K - n + (K - n + 1) // 2) for n in range(K))
     need = table_bytes(K, L) + 8 * K * size + scratch  # comp_or_inf
     if need > MAX_TABLE_BYTES:
@@ -202,10 +223,12 @@ def compute_table(tables: CostTables) -> DpTable:
     The incumbent starts at +inf.  After level 0 and after each block is
     written, it drops to the least value at j = L there, and a state whose
     value plus LB(T, j, d) passes incumbent * (1 + PRUNE_SLACK) stays +inf;
-    the module docstring defines LB and why no optimal or tied state is
-    cut.  A block covers only its window of rows i, from the first to the
-    last finite predecessor, and ends j past the first; every finite
-    candidate lies in it, so every first minimum is the unwindowed one."""
+    the module docstring defines LB.  Then a state (T, j, d) stays +inf
+    when some x in T has V(T - {x}, j, d) <= V(T, j, d): dominance, which
+    the module docstring shows never cuts the picked plan.  A block scores
+    only its rows (i, p) with a finite predecessor, in (i, p) order, and
+    ends j past the first of them; every finite candidate is among them,
+    so every first minimum is the uncompacted one."""
     L, K = tables.num_layers, tables.num_devices
     check_fill_bytes(K, L)
     comp_rest = tables.comp_s[:, :, L]  # (d, j): compute of layers j+1..L
@@ -241,47 +264,52 @@ def compute_table(tables: CostTables) -> DpTable:
 
     def fill(n: int) -> bool:
         """Level |T| = n: one candidate block per live T, (next device d,
-        split i, predecessor p, j), over T's window of rows i in lo..hi and
-        ends j past lo.  The predecessor states (T - {p}, i, p) sit at rows
-        squeeze(T, p), the states filled, (T, j, d), at rows squeeze(T, d).
-        False when no T of the level is live."""
+        row (i, p), j), over the rows whose predecessor state (T - {p}, i,
+        p) is finite and the ends j past the first of them.  The
+        predecessors sit at rows squeeze(T, p), the states filled, (T, j,
+        d), at rows squeeze(T, d).  False when no T of the level is live."""
         m = K - n
         members = np.array(list(combinations(range(K), n)))  # (T, p)
         # reversed: the lesser of two n-sets has their least differing element, its complement not
         others = np.array(list(combinations(range(K), m)))[::-1]  # (T, d)
-        row_of = squeeze((1 << members).sum(axis=1)[:, None], np.arange(K))
-        lo, hi = windows(values, np.take_along_axis(row_of, members, 1), members)
-        live = np.flatnonzero(lo <= hi)
-        if not live.size:
-            return False
-        lo, hi = lo[live], hi[live]
-        cand_buf = np.empty(int(((hi - lo + 1) * (L - lo)).max()) * m * n)
-        best_buf = np.empty(m * int(L - lo.min()), dtype=np.intp)
+        masks = (1 << members).sum(axis=1)
+        row_of = squeeze(masks[:, None], np.arange(K))
+        # a block holds at most n rows i per split below L and ends j after them
+        cand_buf = np.empty(m * n * L * L)
+        best_buf = np.empty(m * L, dtype=np.intp)
         # argmin copies its input with the reduced axis last; halves over d
         # halve that copy
         halves = (slice(0, (m + 1) // 2), slice((m + 1) // 2, m))
         each_d, each_j = np.arange(m)[:, None], np.arange(L)
-        for t, a, b in zip(live.tolist(), lo.tolist(), (hi + 1).tolist()):
-            # rows i in a..b-1, ends j from a + 1
+        live = False
+        for t, mask in enumerate(masks.tolist()):
             preds, nexts, rows = members[t], others[t], row_of[t]
-            wi, wj = b - a, L - a
-            prev = values[rows[preds], a:b, preds].T  # (i, p)
-            cand = cand_buf[:m * wi * n * wj].reshape(m, wi, n, wj)
-            np.maximum(tables.load_s[nexts, a:b, a + 1:][:, :, None, :],
-                       prev[:, :, None], out=cand)
-            cand += tables.comm_s[preds[:, None], nexts, a:b].transpose(1, 2, 0)[..., None]
-            cand += comp_or_inf[nexts, a:b, a + 1:][:, :, None, :]
-            cand_rows = cand.reshape(m, wi * n, wj)
+            prev = values[rows[preds], :L, preds].T  # (i, p)
+            si, pp = np.nonzero(prev < np.inf)  # the live rows, in (i, p) order
+            if not si.size:
+                continue
+            live, a = True, int(si[0])  # ends j from a + 1
+            wj, up = L - a, prev[si, pp][:, None]
+            comm = tables.comm_s[preds[pp], nexts[:, None], si][..., None]
+            cand = cand_buf[:m * si.size * wj].reshape(m, si.size, wj)
             best = best_buf[:m * wj].reshape(m, wj)  # (d, j)
             for half in halves:
-                cand_rows[half].argmin(axis=1, out=best[half])
-            vals = cand_rows[each_d, best, each_j[:wj]]
+                # gathered a half at a time, so no gather outlives argmin's copy
+                at = nexts[half, None], si, slice(a + 1, None)
+                np.maximum(tables.load_s[at], up, out=cand[half])
+                cand[half] += comm[half]
+                cand[half] += comp_or_inf[at]
+                cand[half].argmin(axis=1, out=best[half])
+            vals = cand[each_d, best, each_j[:wj]]
             prune(vals, nexts, a + 1)
+            # dominance: a subset state one device fewer, no later
+            fewer = values[squeeze(mask ^ (1 << preds)[:, None], nexts), a + 1:, nexts]
+            vals[fewer.min(axis=0) <= vals] = np.inf
             out = rows[nexts]
             values[out, a + 1:, nexts] = vals
-            split[out, a + 1:, nexts] = a + best // n
-            prev_device[out, a + 1:, nexts] = preds[best % n]
-        return True
+            split[out, a + 1:, nexts] = si[best]
+            prev_device[out, a + 1:, nexts] = preds[pp[best]]
+        return live
 
     for n in range(1, K):
         if not fill(n):
@@ -289,24 +317,6 @@ def compute_table(tables: CostTables) -> DpTable:
 
     return DpTable(values=values, split=split, prev_device=prev_device,
                    num_layers=L, num_devices=K)
-
-
-def windows(values: np.ndarray, pred_rows: np.ndarray,
-            members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last split i < L at which some predecessor state (T - {p},
-    i, p) of each T is finite, from its rows pred_rows and devices members,
-    both (T, p); lo > hi where all are +inf.  The predecessors are gathered
-    (K - |T|) * (L+1) sets T at a time, at most one block of the level."""
-    count, n = members.shape
-    _, splits, num_devices = values.shape  # splits = L + 1; a split at L ends nothing
-    lo, hi = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
-    step = (num_devices - n) * splits
-    for s in range(0, count, step):
-        chunk = slice(s, s + step)
-        finite = np.isfinite(values[pred_rows[chunk], :splits - 1, members[chunk]]).any(axis=1)
-        lo[chunk] = finite.argmax(axis=1)
-        hi[chunk] = np.where(finite.any(axis=1), splits - 2 - finite[:, ::-1].argmax(axis=1), -1)
-    return lo, hi
 
 
 def best_final_state(table: DpTable) -> tuple[float, int, int]:

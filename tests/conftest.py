@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,19 @@ from coldpipe.device_model import DeviceProfile, RadioParams
 from coldpipe.model_profile import LayerProfile, build_profiles
 
 TAB1_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "tab1.yaml"
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+
+
+def load_benchmark(name, monkeypatch):
+    """The module at benchmark/<name>.py, loaded by path so sys.path is left
+    as it is, and registered in sys.modules for the test's duration
+    (dataclasses looks its module up there)."""
+    spec = importlib.util.spec_from_file_location(
+        f"coldpipe_bench_{name}", BENCHMARK / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def tab1_scenario():

@@ -10,33 +10,17 @@ sys.path is left as it is.
 
 import importlib
 import json
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
 from coldpipe import cost_tables, dp_scheduler
 from coldpipe.model_profile import build_profiles
-from conftest import make_device, make_tables
-
-BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
-
-
-def _load(name, monkeypatch):
-    """The module at benchmark/<name>.py, registered in sys.modules for the
-    test's duration (dataclasses looks its module up there)."""
-    spec = importlib.util.spec_from_file_location(
-        f"coldpipe_bench_{name}", BENCHMARK / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
+from conftest import BENCHMARK, load_benchmark, make_device, make_tables
 
 
 @pytest.mark.parametrize("table", ["LAYERS", "COUNTED"])
 def test_traced_names_resolve(table, monkeypatch):
-    for mod_name, funcs in getattr(_load("tracing", monkeypatch), table).items():
+    for mod_name, funcs in getattr(load_benchmark("tracing", monkeypatch), table).items():
         module = importlib.import_module(f"coldpipe.{mod_name}")
         for func_name in funcs:
             assert callable(getattr(module, func_name, None)), f"{mod_name}.{func_name}"
@@ -47,7 +31,7 @@ def test_dp_counters_table_bytes(monkeypatch):
     layers = [(1e9 * (l + 1), 1e6, 1e8) for l in range(num_layers)]
     tables = make_tables(layers, [make_device(d, peak=1e12 * (d + 1))
                                   for d in range(3)])
-    counters = _load("run", monkeypatch).dp_counters(dp_scheduler.compute_table(tables))
+    counters = load_benchmark("run", monkeypatch).dp_counters(dp_scheduler.compute_table(tables))
     assert counters["table_bytes"] == (dp_scheduler.table_bytes(3, num_layers), "bytes")
 
 
@@ -55,7 +39,7 @@ def test_dp_counters_table_bytes(monkeypatch):
 def test_plans_equal_the_fleet_ladder_references(index, monkeypatch):
     # the exact solver's plan, not only its makespan, is the reference's on
     # every rung of fleets 0-7, K = 8-12, each fill bounded by its own plans
-    fleet = _load("fleet", monkeypatch)
+    fleet = load_benchmark("fleet", monkeypatch)
     ref = json.loads((BENCHMARK / "ref" / "fleet_ladder.json").read_text())["fleets"]
     for k in fleet.LADDER:
         scenario = fleet.fleet_scenario(index, k)

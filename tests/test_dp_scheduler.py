@@ -17,8 +17,8 @@ from coldpipe.dp_scheduler import (MAX_TABLE_BYTES, Plan, PlanStage,
 from coldpipe.errors import InfeasibleError, LimitError
 from coldpipe.experiment import random_instance_suite, verify_suite
 from coldpipe.model_profile import build_profiles
-from coldpipe.timeline import evaluate
-from conftest import make_device, make_tables
+from coldpipe.timeline import evaluate, tie_key
+from conftest import load_benchmark, make_device, make_tables
 
 REL = 1e-9
 
@@ -107,8 +107,8 @@ def test_fill_peak_matches_the_count(qwen_cfg, fleet, num_devices, every_row_liv
     # the refusal is only as good as the count: one block and one half-block
     # copy.  With memory to spare, every predecessor row is live and the
     # fill's traced peak stays within 5% of the count.  The tab1 fleet's
-    # memory cuts the rows a device can end a stage at, so each block covers
-    # only its window of live rows and the peak is below it
+    # memory cuts the rows a device can end a stage at, so each block scores
+    # only its live rows and the peak is below it
     num_layers = 400
     if every_row_live:
         fleet = [dataclasses.replace(device, memory_bytes=1e15) for device in fleet]
@@ -433,6 +433,113 @@ def test_optimum_replays_exactly(k8_fleet):
     assert evaluate(base.plan, tables).makespan_s == base.makespan_s
 
 
+def sequence_reference(tables):
+    """The exact optimum by a route that shares no code with the bitmask
+    fill.  Every ordered device sequence, walked depth first, runs a chain
+    DP over its splits: f_e(j) = min_i max(load_s[e, i, j], f_d(i)) +
+    comm_s[d, e, i] + comp(e, i, j), comp +inf where the segment does not
+    fit.  Returns the optimum and, of each optimal sequence's plan of first
+    minima, the least by tie_key."""
+    K, L = tables.num_devices, tables.num_layers
+    comp = np.where(tables.fits, tables.comp_s, np.inf)
+    best, chains = math.inf, []  # chain: (device, f, first argmin i of each j)
+
+    def walk(chain):
+        nonlocal best, chains
+        d, f, _ = chain[-1]
+        if f[L] < best:
+            best, chains = f[L], []
+        if f[L] == best:
+            chains.append(chain)
+        for e in set(range(K)) - {c[0] for c in chain}:
+            cand = np.maximum(tables.load_s[e], f[:, None]) + tables.comm_s[d, e][:, None]
+            cand += comp[e]
+            walk(chain + [(e, cand.min(axis=0), cand.argmin(axis=0))])
+
+    for d in range(K):
+        walk([(d, tables.load_s[d, 0] + comp[d, 0], None)])
+    plans = []
+    for chain in chains:
+        stages, j = [], L
+        for e, _, first in reversed(chain):
+            i = 0 if first is None else int(first[j])
+            stages.insert(0, PlanStage(device=e, start_layer=i + 1, end_layer=j))
+            j = i
+        plans.append(Plan(stages=tuple(stages)))
+    return best, min(plans, key=lambda plan: tie_key(evaluate(plan, tables)))
+
+
+def ladder_tables(monkeypatch, index, num_devices):
+    """The first num_devices devices of benchmark/fleet.py's fleet index."""
+    fleet = load_benchmark("fleet", monkeypatch)
+    scenario = fleet.fleet_scenario(index, num_devices)
+    return cost_tables.build(build_profiles(scenario.model, fleet.TOKENS),
+                             list(scenario.devices), fleet.TOKENS)
+
+
+def identical_tables(layers_per_device):
+    """Six identical devices on 30 layers, each with memory for
+    layers_per_device of them: every plan ties with its mirror images."""
+    workload, activation, params = 4e11, 2e7, 5e8
+    devices = [make_device(k, memory=params * layers_per_device + activation)
+               for k in range(6)]
+    return make_tables([(workload, activation, params)] * 30, devices)
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(("ladder", index, k), id=f"ladder-{index}-k{k}")
+      for index in (0, 1) for k in (6, 7)),
+    *(pytest.param(("metamorphic", seed, k), id=f"metamorphic-{seed}-k{k}")
+      for seed in (0, 1) for k in (6, 7)),
+    *(pytest.param(("identical", per, 6), id=f"identical-{per}") for per in (11, 20))])
+def test_solve_matches_the_sequence_reference(monkeypatch, case):
+    # makespan bit for bit and the plan, ties included, at K = 6-7, beyond
+    # the brute-force oracle's reach
+    kind, seed, num_devices = case
+    if kind == "ladder":
+        tables = ladder_tables(monkeypatch, seed, num_devices)
+    elif kind == "metamorphic":
+        tables = make_tables(*_metamorphic_fleet(seed, num_devices))
+    else:
+        tables = identical_tables(seed)
+    makespan, plan = sequence_reference(tables)
+    result = solve(tables)
+    assert result.makespan_s.hex() == makespan.hex()
+    assert result.plan == plan
+
+
+def integer_tables(work, params, sends, times, reads, memory, links):
+    """Tables of small integer costs, so every sum is exact and ties are
+    common: on device d, layer l computes in work[l] * times[d] and loads in
+    params[l] * reads[d], a segment fits when it has at most memory[d]
+    layers, and layer i's output goes from p to d in sends[i] * links[p][d]."""
+    L, K = len(work), len(times)
+    base = make_tables([(1e12, 1e6, 5e8)] * L, [make_device(k) for k in range(K)])
+    i, j = np.ogrid[:L + 1, :L + 1]
+    work, params = np.cumsum([0, *work]), np.cumsum([0, *params])
+    return dataclasses.replace(
+        base, comp_s=np.stack([(work[j] - work[i]) * t for t in times]).astype(float),
+        load_s=np.stack([(params[j] - params[i]) * r for r in reads]).astype(float),
+        comm_s=np.multiply.outer(np.array(links, dtype=float), sends),
+        fits=np.stack([(j > i) & (j - i <= m) for m in memory]))
+
+
+def test_first_minima_run_in_split_then_device_order(monkeypatch):
+    # the last stage, on device 0, ties between starting after layer 3
+    # behind device 2 and after layer 4 behind device 1; the split orders
+    # candidates before the predecessor device, so the earlier start wins,
+    # as the tie key has it
+    tables = integer_tables(work=[3, 2, 3, 2, 1], params=[2, 2, 0, 2, 2],
+                            sends=[1, 1, 2, 2, 2, 1], times=[4, 3, 2], reads=[2, 2, 2],
+                            memory=[2, 5, 2], links=[[2, 1, 1], [0, 0, 0], [1, 2, 0]])
+    check_table_contract(tables, unbounded_table(monkeypatch, tables), slack=math.inf)
+    check_table_contract(tables, compute_table(tables))
+    makespan, plan = sequence_reference(tables)
+    assert plan.devices == (1, 2, 0) and plan.stages[-1].start_layer == 4
+    assert brute_force(tables) == (makespan, plan)
+    assert solve(tables) == dp_scheduler.SolveResult(makespan_s=makespan, plan=plan)
+
+
 def lower_bound(tables, t_mask, d):
     """LB(T, j, d) at every j for the device set T = t_mask: 0 at j = L;
     before it, the cheapest transfer of layer j's output from d to a device
@@ -453,14 +560,17 @@ def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
     """Every state of the fill, not only the optimum's chain: a one-stage
     state (split 0) has T = 0 and costs load + compute; any other finite
     state's (split i, predecessor p) is the first minimum of its candidate
-    column in (i, p) order, recomputed in the fill's order of operations, p
-    is in T, the predecessor is finite and the value is that candidate bit
-    for bit.  The incumbent as T's block was written is replayed from the
-    table: +inf for T = 0, then the least value at j = L of level 0 and of
-    each block before T's, sets T in combinations order.  A finite state's
-    value plus LB(T, j, d) is within incumbent * (1 + slack); a +inf state
-    has no finite candidate, or its first minimum plus LB passes that limit.
-    Returns the table."""
+    column in (i, p) order over the stored predecessors, recomputed in the
+    fill's order of operations, p is in T, the predecessor is finite, the
+    value is that candidate bit for bit, and every subset state (T - {x},
+    j, d), x in T, is later.  The incumbent as T's block was written is
+    replayed from the table: +inf for T = 0, then the least value at j = L
+    of level 0 and of each block before T's, sets T in combinations order.
+    A finite state's value plus LB(T, j, d) is within incumbent * (1 +
+    slack); a +inf state has no finite candidate, or its first minimum plus
+    LB passes that limit (cut by the bound), or some subset state is no
+    later than its first minimum (cut by dominance).  Returns the count of
+    states each cut took."""
     K, L = tables.num_devices, tables.num_layers
     finals = table.values[:, L, :]
     incumbent, best = {0: math.inf}, finals[0].min()
@@ -471,6 +581,7 @@ def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
             best = min(best, *(finals[squeeze(t_mask, d), d]
                                for d in range(K) if not (t_mask >> d) & 1))
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
+    cuts = {"bound": 0, "dominance": 0}
     for d in range(K):
         others = [p for p in range(K) if p != d]
         for n in range(K):
@@ -493,6 +604,8 @@ def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
                 preds = np.array(members)
                 prev = np.stack([table.values[squeeze(t_mask ^ (1 << p), p), :, p]
                                  for p in members], axis=1)  # (i, p)
+                fewer = np.min([table.values[squeeze(t_mask ^ (1 << x), d), :, d]
+                                for x in members], axis=0)  # the earliest subset state
                 cand = np.maximum(tables.load_s[d][:, None, :], prev[:, :, None])
                 cand += tables.comm_s[preds, d].T[:, :, None]
                 cand += comp_or_inf[d][:, None, :]
@@ -503,23 +616,35 @@ def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
                 assert np.isfinite(prev[i, k]).all()
                 assert np.array_equal(value[j], cand[i, k, j])
                 assert np.array_equal(i * n + k, flat.argmin(axis=0)[j])
+                assert (fewer[j] > value[j]).all()
                 first = flat.min(axis=0)
-                assert (np.isinf(first) | (first + lb > limit))[~finite].all()
-    return table
+                bound = np.isfinite(first) & (first + lb > limit)
+                dominated = np.isfinite(first) & ~bound & (fewer <= first)
+                assert (np.isinf(first) | bound | dominated)[~finite].all()
+                cuts["bound"] += int(bound[~finite].sum())
+                cuts["dominance"] += int(dominated[~finite].sum())
+    return cuts
 
 
 def test_every_state_keeps_the_table_contract(monkeypatch):
-    # unbounded, a state is +inf only when it has no finite candidate
+    # unbounded, a state is +inf only when it has no finite candidate or a
+    # subset state one device fewer is no later; dominance cuts states
     layers, devices = _metamorphic_fleet(0, 6)
     cases = [make_tables(layers, devices)]
     cases += [suite_tables(instance) for instance in random_instance_suite(40, seed=11)]
+    dominated = 0
     for tables in cases:
-        check_table_contract(tables, unbounded_table(monkeypatch, tables), slack=math.inf)
+        cuts = check_table_contract(tables, unbounded_table(monkeypatch, tables),
+                                    slack=math.inf)
+        assert cuts["bound"] == 0
+        dominated += bool(cuts["dominance"])
+    assert dominated > 1
 
 
 def test_bounded_fill_prunes_only_over_the_bound(monkeypatch):
-    # the fill's own running incumbent cuts only states over it: the states
-    # of every optimal or tied plan survive, so the plan is the unbounded one
+    # the fill's own running incumbent cuts only states over it, and the
+    # states of the plan the fill without the bound picks survive with
+    # their values and pointers, so the plan is that fill's
     layers, devices = _metamorphic_fleet(0, 9)
     cases = [make_tables(layers, devices)]
     cases += [suite_tables(instance) for instance in random_instance_suite(40, seed=11)]
@@ -531,22 +656,17 @@ def test_bounded_fill_prunes_only_over_the_bound(monkeypatch):
         except InfeasibleError:
             continue
         plan = reconstruct(full, mask, dev)
-        K = tables.num_devices
-        limit = optimum * (1 + dp_scheduler.PRUNE_SLACK)
-        bounded = check_table_contract(tables, compute_table(tables))
-        finite = np.isfinite(bounded.values)
-        for name in ("values", "split", "prev_device"):
-            assert np.array_equal(getattr(bounded, name)[finite], getattr(full, name)[finite])
-        # every state within the optimum survives
-        for row in range(1 << (K - 1)):
-            for d in range(K):
-                low = (1 << d) - 1
-                t_mask = (row & low) | ((row & ~low) << 1)  # squeeze's inverse
-                within = full.values[row, :, d] + lower_bound(tables, t_mask, d) <= limit
-                assert finite[row, within, d].all()
+        bounded = compute_table(tables)
+        cuts = check_table_contract(tables, bounded)
+        before = 0  # the devices of the stages before each one
+        for stage in plan.stages:
+            state = squeeze(before, stage.device), stage.end_layer, stage.device
+            for name in ("values", "split", "prev_device"):
+                assert getattr(bounded, name)[state] == getattr(full, name)[state]
+            before |= 1 << stage.device
         assert best_final_state(bounded) == (optimum, mask, dev)
         assert reconstruct(bounded, mask, dev) == plan
-        cut_cases += bool((~finite & np.isfinite(full.values)).any())
+        cut_cases += bool(cuts["bound"])
         assert solve(tables) == dp_scheduler.SolveResult(makespan_s=optimum, plan=plan)
     # the bound cut states, and not only on one instance
     assert cut_cases > 1

@@ -17,20 +17,19 @@ is skipped, and the fill stops at the first level with none live.
 The fill is its own branch and bound (Land & Doig 1960).  Its incumbent
 starts at +inf, and after level 0 and after each block is written it drops
 to the least finite value at j = L there: the makespan of a complete plan
-already written.  A state (T, j, d) whose value plus LB(T, j, d) passes the
-incumbent stays +inf.  LB is 0 at j = L; before it, LB is the cheapest
-transfer of layer j's output from d to a device e outside T | {d}, plus the
-least compute of layers j+1..L on one such device, +inf when there is none.
-It never exceeds what any plan through the state still adds: the next stage
-runs on some e and receives layer j's output from d, and each device
-computes every layer at one rate (`cost_tables.build`), so the later
-stages' compute is at least that of layers j+1..L on the fastest device
-left.  The bound is consistent, as in A* (Hart, Nilsson & Raphael 1968):
-along a transition (T, i, p) -> (T | {p}, j, d), the value grows by at
-least comm_s[p, d, i] + comp_s[d, i, j], and that is at least
-LB(T, i, p) - LB(T | {p}, j, d).  The incumbent never increases, and each
-value it takes is a feasible plan's makespan, so it is never below the
-optimum.
+already written.  A state (T, j, d) whose value plus LB(d, j) passes the
+incumbent stays +inf.  LB is taken over the devices other than d, so it
+needs no T and is one array per fill.  It is 0 at j = L; before it, LB is
+the cheapest transfer of layer j's output from d to a device e other than
+d, plus the least compute of layers j+1..L on one such device, +inf when
+there is none.  It never exceeds what any plan through the state still
+adds: the next stage runs on some e other than d and receives layer j's
+output from d, and each device computes every layer at one rate
+(`cost_tables.build`), so the later stages' compute is at least that of
+layers j+1..L on the fastest device other than d.  So LB is admissible, as
+in A* (Hart, Nilsson & Raphael 1968).  The incumbent never increases, and
+each value it takes is a feasible plan's makespan, so it is never below
+the optimum.
 
 A state is also cut by dominance (Ibaraki 1977; Morin & Marsten 1976): a
 block's state (T, j, d) stays +inf when some x in T has V(T - {x}, j, d)
@@ -43,15 +42,18 @@ later.  Every stored finite value is a real prefix's finish, even where
 earlier cuts raised it, so a cut only drops a state for a real plan with
 one device fewer that is no worse.
 
-Neither cut touches the plan that the fill without them picks.  Its states
-are within the optimum, so by consistency no incumbent cuts them.  If
-dominance cut one of them, a plan with one device fewer would end no
-later, yet `best_final_state` and `tie_key` put fewer devices first at an
-equal makespan.  So, level by level, each state of the picked chain keeps
-its value and first minimum: the other candidates of its column were only
-raised.  Off the chain, a finite value is the first minimum over the
-stored predecessors, which may exceed the fill without cuts.  This rests
-on the tie order; a change to `tie_key` must revisit the rule.
+Neither cut touches the plan that the fill without them picks.  By
+induction along its chain from the one-stage state, each state of the
+chain keeps its value and first minimum: its predecessor on the chain
+keeps its value, and the cuts only raised other candidates of its column.
+Then its value plus LB is at most the picked plan's makespan, the optimum,
+which is at most the incumbent, and PRUNE_SLACK absorbs the rounding of
+the bound's sums, so the bound does not cut it.  Nor does dominance: a plan
+with one device fewer would end no later, yet `best_final_state` and
+`tie_key` put fewer devices first at an equal makespan.  Off the chain, a
+finite value is the first minimum over the stored predecessors, which may
+exceed the fill without cuts.  This rests on the tie order; a change to
+`tie_key` must revisit the rule.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
 d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
@@ -73,7 +75,6 @@ prefix, which is the next element of the key.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -220,34 +221,25 @@ def compute_table(tables: CostTables) -> DpTable:
     raises LimitError, before any allocation, when the tables and the
     fill's scratch pass MAX_TABLE_BYTES.
 
-    The incumbent starts at +inf.  After level 0 and after each block is
-    written, it drops to the least value at j = L there, and a state whose
-    value plus LB(T, j, d) passes incumbent * (1 + PRUNE_SLACK) stays +inf;
-    the module docstring defines LB.  Then a state (T, j, d) stays +inf
-    when some x in T has V(T - {x}, j, d) <= V(T, j, d): dominance, which
-    the module docstring shows never cuts the picked plan.  A block scores
-    only its rows (i, p) with a finite predecessor, in (i, p) order, and
-    ends j past the first of them; every finite candidate is among them,
-    so every first minimum is the uncompacted one."""
+    LB(d, j), over every device other than d, is one (K, L+1) array built
+    once, before the tables; the module docstring defines it.  The
+    incumbent is the least value at j = L of level 0.  In each block, a
+    state whose value plus LB(d, j) passes incumbent * (1 + PRUNE_SLACK)
+    stays +inf, and then the incumbent drops to the block's least value at
+    j = L.  Then a state (T, j, d) stays +inf when some x in T has
+    V(T - {x}, j, d) <= V(T, j, d): dominance, which the module docstring
+    shows never cuts the picked plan.  A block scores only its rows (i, p)
+    with a finite predecessor, in (i, p) order, and ends j past the first
+    of them; every finite candidate is among them, so every first minimum
+    is the uncompacted one."""
     L, K = tables.num_layers, tables.num_devices
     check_fill_bytes(K, L)
-    comp_rest = tables.comp_s[:, :, L]  # (d, j): compute of layers j+1..L
-    bound = math.inf  # the incumbent
-
-    def prune(vals: np.ndarray, nexts: np.ndarray, first: int) -> None:
-        """Set +inf each of vals, the states (T, j, d) for d in nexts and j
-        from first, whose value plus LB(T, j, d) passes the incumbent, then
-        lower the incumbent to the least of them at j = L."""
-        nonlocal bound
-        if bound < math.inf:
-            free = (nexts[:, None] != nexts)[:, :, None]  # (d, e): e is not d
-            lb = np.where(free, comp_rest[nexts, first:], np.inf).min(axis=1)
-            # before j = L, layer j's output still goes from d to a free device
-            lb[:, :L - first] += np.where(free, tables.comm_s[nexts[:, None], nexts, first:L],
-                                          np.inf).min(axis=1)
-            lb[:, -1] = 0.0
-            vals[vals + lb > bound * (1 + PRUNE_SLACK)] = np.inf
-        bound = min(bound, vals[:, -1].min())
+    # LB(d, j), built before the tables so that its temporaries never add to
+    # their peak: each term's least over the devices e other than d
+    other = ~np.eye(K, dtype=bool)[:, :, None]  # (d, e, j)
+    lb = np.where(other, tables.comp_s[:, :, L], np.inf).min(axis=1)
+    lb += np.where(other, tables.comm_s, np.inf).min(axis=1)
+    lb[:, L] = 0.0
 
     # Infeasible segments cost +inf.
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
@@ -260,7 +252,7 @@ def compute_table(tables: CostTables) -> DpTable:
     # T = 0, row 0 for every d: a single segment 1..j on device d, no
     # communication; split stays 0.
     values[0] = (tables.load_s[:, 0, :] + comp_or_inf[:, 0, :]).T
-    prune(values[0].T, np.arange(K), 0)
+    bound = values[0, L].min()  # the incumbent
 
     def fill(n: int) -> bool:
         """Level |T| = n: one candidate block per live T, (next device d,
@@ -268,6 +260,7 @@ def compute_table(tables: CostTables) -> DpTable:
         p) is finite and the ends j past the first of them.  The
         predecessors sit at rows squeeze(T, p), the states filled, (T, j,
         d), at rows squeeze(T, d).  False when no T of the level is live."""
+        nonlocal bound
         m = K - n
         members = np.array(list(combinations(range(K), n)))  # (T, p)
         # reversed: the lesser of two n-sets has their least differing element, its complement not
@@ -301,7 +294,8 @@ def compute_table(tables: CostTables) -> DpTable:
                 cand[half] += comp_or_inf[at]
                 cand[half].argmin(axis=1, out=best[half])
             vals = cand[each_d, best, each_j[:wj]]
-            prune(vals, nexts, a + 1)
+            vals[vals + lb[nexts, a + 1:] > bound * (1 + PRUNE_SLACK)] = np.inf
+            bound = min(bound, vals[:, -1].min())
             # dominance: a subset state one device fewer, no later
             fewer = values[squeeze(mask ^ (1 << preds)[:, None], nexts), a + 1:, nexts]
             vals[fewer.min(axis=0) <= vals] = np.inf

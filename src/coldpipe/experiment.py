@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import baselines, cost_tables, dp_scheduler
 from .device_model import DeviceProfile, RadioParams
@@ -252,25 +252,19 @@ def _plan_text(plan: dp_scheduler.Plan) -> str:
                     for s in plan.stages)
 
 
-Solver = Callable[[cost_tables.CostTables], dp_scheduler.SolveResult]
-
-
-def verify_suite(instances: Sequence[SuiteInstance],
-                 solver: Solver | None = None) -> list[VerifyOutcome]:
+def verify_suite(instances: Sequence[SuiteInstance]) -> list[VerifyOutcome]:
     """Check the solver's makespan and plan against the brute-force oracle,
     and replay the solver's plan, on every instance.
 
-    The solver is injectable (late-bound to dp_scheduler.solve) so the
-    harness can prove to itself that it detects a miscosted solver.
+    dp_scheduler.solve is looked up at each call, so a test can replace it
+    to prove that the harness detects a miscosted solver.
     """
-    if solver is None:
-        solver = dp_scheduler.solve
     outcomes = []
     for idx, inst in enumerate(instances):
         sc = inst.scenario
         tables = build_tables(sc, sc.token_lengths[0])
         try:
-            result, refusal = solver(tables), None
+            result, refusal = dp_scheduler.solve(tables), None
         except InfeasibleError as err:
             result, refusal = None, err
         try:

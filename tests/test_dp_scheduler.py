@@ -533,15 +533,15 @@ def test_solve_matches_the_sequence_reference(monkeypatch, case):
     assert result.plan == plan
 
 
-def lower_bound(tables, t_mask, d):
-    """LB(T, j, d) at every j for the device set T = t_mask: 0 at j = L;
+def lower_bound(tables, d):
+    """LB(d, j) at every j, the same for every device set T: 0 at j = L;
     before it, the cheapest transfer of layer j's output from d to a device
-    e outside T | {d}, plus the least compute of layers j+1..L on one such
-    e; +inf when no e is left."""
+    e other than d, plus the least compute of layers j+1..L on one such e;
+    +inf when there is no other device."""
     L = tables.num_layers
     compute, send = np.full(L + 1, np.inf), np.full(L + 1, np.inf)
     for e in range(tables.num_devices):
-        if e != d and not (t_mask >> e) & 1:
+        if e != d:
             compute = np.minimum(compute, tables.comp_s[e, :, L])
             send = np.minimum(send, tables.comm_s[d, e, :])
     lb = compute + send
@@ -559,7 +559,7 @@ def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
     j, d), x in T, is later.  The incumbent as T's block was written is
     replayed from the table: +inf for T = 0, then the least value at j = L
     of level 0 and of each block before T's, sets T in combinations order.
-    A finite state's value plus LB(T, j, d) is within incumbent * (1 +
+    A finite state's value plus LB(d, j) is within incumbent * (1 +
     slack); a +inf state has no finite candidate, or its first minimum plus
     LB passes that limit (cut by the bound), or some subset state is no
     later than its first minimum (cut by dominance).  Returns the count of
@@ -577,11 +577,11 @@ def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
     cuts = {"bound": 0, "dominance": 0}
     for d in range(K):
         others = [p for p in range(K) if p != d]
+        lb = lower_bound(tables, d)
         for n in range(K):
             for members in combinations(others, n):
                 t_mask = sum(1 << p for p in members)
                 row = squeeze(t_mask, d)
-                lb = lower_bound(tables, t_mask, d)
                 limit = incumbent[t_mask] * (1 + slack)
                 value = table.values[row, :, d]
                 finite = np.isfinite(value)

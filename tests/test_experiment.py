@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from coldpipe import dp_scheduler
 from coldpipe.dp_scheduler import Plan, PlanStage, SolveResult, solve, validate_plan
 from coldpipe.errors import InfeasibleError
 from coldpipe.experiment import (Scenario, SuiteInstance, average_improvement_pct,
@@ -115,18 +116,18 @@ def test_verify_suite_passes():
     assert all(o.ok for o in outcomes)
 
 
-def test_verify_suite_detects_miscosted_solver():
+def test_verify_suite_detects_miscosted_solver(monkeypatch):
     def skewed_solver(tables):
         result = solve(tables)
         return SolveResult(makespan_s=result.makespan_s * 1.01,
                            plan=result.plan)
 
-    outcomes = verify_suite(random_instance_suite(10, seed=9),
-                            solver=skewed_solver)
+    monkeypatch.setattr(dp_scheduler, "solve", skewed_solver)
+    outcomes = verify_suite(random_instance_suite(10, seed=9))
     assert any(not o.ok for o in outcomes)
 
 
-def test_verify_suite_detects_mirrored_plan():
+def test_verify_suite_detects_mirrored_plan(monkeypatch):
     # on two identical devices the mirrored plan has the same makespan, so
     # only the plan check can catch it
     model = dataclasses.replace(tab1_scenario().model, num_layers=4)
@@ -139,12 +140,13 @@ def test_verify_suite_detects_mirrored_plan():
                        for s in result.plan.stages)
         return SolveResult(makespan_s=result.makespan_s, plan=Plan(stages))
 
-    [outcome] = verify_suite([SuiteInstance(sc)], solver=mirrored_solver)
+    monkeypatch.setattr(dp_scheduler, "solve", mirrored_solver)
+    [outcome] = verify_suite([SuiteInstance(sc)])
     assert not outcome.ok
     assert outcome.detail == "solver plan 0:1-2|1:3-4 != oracle plan 1:1-2|0:3-4"
 
 
-def test_verify_suite_names_the_solver_refusal():
+def test_verify_suite_names_the_solver_refusal(monkeypatch):
     # every layer on device 0 overflows its memory on some instances the
     # oracle solves; the detail carries the solver's own message
     def one_device_solver(tables):
@@ -152,7 +154,8 @@ def test_verify_suite_names_the_solver_refusal():
         validate_plan(plan, tables)
         return SolveResult(makespan_s=evaluate(plan, tables).makespan_s, plan=plan)
 
-    outcomes = verify_suite(random_instance_suite(60, seed=0), solver=one_device_solver)
+    monkeypatch.setattr(dp_scheduler, "solve", one_device_solver)
+    outcomes = verify_suite(random_instance_suite(60, seed=0))
     refused = [o.detail for o in outcomes if o.detail.startswith("only the solver")]
     assert refused
     for detail in refused:

@@ -56,7 +56,10 @@ exceed the fill without cuts.  This rests on the tie order; a change to
 `tie_key` must revisit the rule.
 
 Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
-d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.  The
+d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.
+squeeze(T, d) keeps T's bits below d and moves those above d down one, so
+it is the sum over x in T of drop[x, d], 2**(x - (x > d)) but 0 at x = d,
+and (T - {x}, j, d) sits drop[x, d] rows below (T, j, d).  The
 back-pointers take the narrowest signed integer type that holds both the
 largest split, L-1, and the largest device index, K-1 (`pointer_dtype`).
 They are defined where `values` is finite; split 0 marks a one-stage state.
@@ -76,7 +79,8 @@ prefix, which is the next element of the key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -112,10 +116,6 @@ class Plan:
     @property
     def devices(self) -> tuple[int, ...]:
         return tuple(s.device for s in self.stages)
-
-    @property
-    def layer_counts(self) -> tuple[int, ...]:
-        return tuple(s.layer_count for s in self.stages)
 
     def layer_share(self, device: int) -> int:
         """Number of layers assigned to the given device index (0 if unused)."""
@@ -206,9 +206,11 @@ def check_fill_bytes(num_devices: int, num_layers: int) -> None:
     K, L = num_devices, num_layers
     size = (L + 1) ** 2
     # the scratch: a level's block and argmin's copy of the larger half of
-    # it (blocks are split over d), at the level where they are largest; a
-    # half's gathers are freed before its copy is made, and are no larger
-    scratch = 8 * size * max(n * (K - n + (K - n + 1) // 2) for n in range(K))
+    # it (blocks are split over d), and its members, complements and rows,
+    # 2K integers per set T, at the level where they are largest; a half's
+    # gathers are freed before its copy is made, and are no larger
+    scratch = max(8 * size * n * (K - n + (K - n + 1) // 2) + 16 * K * comb(K, n)
+                  for n in range(K))
     need = table_bytes(K, L) + 8 * K * size + scratch  # comp_or_inf
     if need > MAX_TABLE_BYTES:
         raise LimitError(
@@ -240,6 +242,7 @@ def compute_table(tables: CostTables) -> DpTable:
     lb = np.where(other, tables.comp_s[:, :, L], np.inf).min(axis=1)
     lb += np.where(other, tables.comm_s, np.inf).min(axis=1)
     lb[:, L] = 0.0
+    drop = other[..., 0] << (np.arange(K)[:, None] - np.tri(K, k=-1, dtype=int))  # (x, d)
 
     # Infeasible segments cost +inf.
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
@@ -256,17 +259,15 @@ def compute_table(tables: CostTables) -> DpTable:
 
     def fill(n: int) -> bool:
         """Level |T| = n: one candidate block per live T, (next device d,
-        row (i, p), j), over the rows whose predecessor state (T - {p}, i,
-        p) is finite and the ends j past the first of them.  The
-        predecessors sit at rows squeeze(T, p), the states filled, (T, j,
-        d), at rows squeeze(T, d).  False when no T of the level is live."""
+        live row (i, p), j), read and written at T's rows in row_of.  False
+        when no T of the level is live."""
         nonlocal bound
         m = K - n
-        members = np.array(list(combinations(range(K), n)))  # (T, p)
+        members = np.fromiter(chain.from_iterable(combinations(range(K), n)), int).reshape(-1, n)
+        row_of = sum(drop[p] for p in members.T)  # squeeze(T, d) at (T, d); members is (T, p)
         # reversed: the lesser of two n-sets has their least differing element, its complement not
-        others = np.array(list(combinations(range(K), m)))[::-1]  # (T, d)
-        masks = (1 << members).sum(axis=1)
-        row_of = squeeze(masks[:, None], np.arange(K))
+        others = np.fromiter(chain.from_iterable(combinations(range(K), m)),
+                             int).reshape(-1, m)[::-1]  # (T, d)
         # a block holds at most n rows i per split below L and ends j after them
         cand_buf = np.empty(m * n * L * L)
         best_buf = np.empty(m * L, dtype=np.intp)
@@ -275,8 +276,7 @@ def compute_table(tables: CostTables) -> DpTable:
         halves = (slice(0, (m + 1) // 2), slice((m + 1) // 2, m))
         each_d, each_j = np.arange(m)[:, None], np.arange(L)
         live = False
-        for t, mask in enumerate(masks.tolist()):
-            preds, nexts, rows = members[t], others[t], row_of[t]
+        for preds, nexts, rows in zip(members, others, row_of):
             prev = values[rows[preds], :L, preds].T  # (i, p)
             si, pp = np.nonzero(prev < np.inf)  # the live rows, in (i, p) order
             if not si.size:
@@ -297,9 +297,9 @@ def compute_table(tables: CostTables) -> DpTable:
             vals[vals + lb[nexts, a + 1:] > bound * (1 + PRUNE_SLACK)] = np.inf
             bound = min(bound, vals[:, -1].min())
             # dominance: a subset state one device fewer, no later
-            fewer = values[squeeze(mask ^ (1 << preds)[:, None], nexts), a + 1:, nexts]
-            vals[fewer.min(axis=0) <= vals] = np.inf
             out = rows[nexts]
+            fewer = values[out - drop[preds[:, None], nexts], a + 1:, nexts]
+            vals[fewer.min(axis=0) <= vals] = np.inf
             values[out, a + 1:, nexts] = vals
             split[out, a + 1:, nexts] = si[best]
             prev_device[out, a + 1:, nexts] = preds[pp[best]]

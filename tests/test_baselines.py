@@ -31,19 +31,19 @@ def test_single_device_memory_is_waived(tab1_tables, fleet):
 def test_even_plan_forty_over_four(fleet):
     plan = even_plan(fleet, 40)
     assert plan.devices == (0, 1, 2, 3)
-    assert plan.layer_counts == (10, 10, 10, 10)
+    assert tuple(s.layer_count for s in plan.stages) == (10, 10, 10, 10)
 
 
 def test_even_plan_remainder_to_strongest(fleet):
     plan = even_plan(fleet, 5)
-    assert plan.layer_counts == (2, 1, 1, 1)
+    assert tuple(s.layer_count for s in plan.stages) == (2, 1, 1, 1)
     assert plan.devices == (0, 1, 2, 3)
 
 
 def test_even_plan_drops_weakest_when_short(fleet):
     plan = even_plan(fleet, 3)
     assert plan.devices == (0, 1, 2)
-    assert plan.layer_counts == (1, 1, 1)
+    assert tuple(s.layer_count for s in plan.stages) == (1, 1, 1)
 
 
 def test_heuristic_shares_table_fleet(fleet):
@@ -51,8 +51,9 @@ def test_heuristic_shares_table_fleet(fleet):
     # scores ~ (10, 8, 6, 4) GB/s -> counts (14, 11, 9, 6) over 40 layers
     plan = heuristic_plan(fleet, 40)
     assert plan.devices == (0, 1, 2, 3)
-    assert plan.layer_counts == (14, 11, 9, 6)
-    assert plan.layer_counts[0] == max(plan.layer_counts)
+    counts = tuple(s.layer_count for s in plan.stages)
+    assert counts == (14, 11, 9, 6)
+    assert counts[0] == max(counts)
 
 
 def test_heuristic_equals_even_for_identical_devices():
@@ -102,7 +103,7 @@ def test_enumerate_plans_yields_every_plan_once(num_devices):
 def test_brute_force_single_candidate():
     tables = make_tables([(1e12, 1e6, 5e8)] * 3, [make_device()])
     value, plan = brute_force(tables)
-    assert plan.layer_counts == (3,)
+    assert tuple(s.layer_count for s in plan.stages) == (3,)
     assert value == tables.load_s[0, 0, 3] + tables.comp_s[0, 0, 3]
 
 

@@ -55,9 +55,9 @@ def test_table_bytes_estimate():
     assert table_bytes(19, 60) == 3_038_248_960
     assert table_bytes(19, 40) == 2_042_101_760
     # past it, the tables and the fill's scratch are refused
-    for num_devices, num_layers, need in ((20, 60, "6,401,493,232"),
-                                          (20, 40, "4,301,501,552"),
-                                          (25, 10, "46,137,600,520")):
+    for num_devices, num_layers, need in ((20, 60, "6,460,496,080"),
+                                          (20, 40, "4,360,569,680"),
+                                          (25, 10, "48,217,720,520")):
         tables = make_tables([(1e12, 1e6, 5e8)] * num_layers,
                              [make_device(i) for i in range(num_devices)])
         with pytest.raises(LimitError,
@@ -75,13 +75,14 @@ def deep_tab1(model, fleet, num_layers, t=2048):
 
 def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
     # the DP tables are 230,784 bytes; comp_or_inf (4 units of 601**2
-    # doubles) and the fill's block and argmin's half copy (4 + 2 units at
-    # |T| = 2) bring the count to 230,784 + 8 * 361,201 * 10 = 29,126,864
+    # doubles), the fill's block and argmin's half copy (4 + 2 units at
+    # |T| = 2) and that level's index arrays (16 * 4 * 6 bytes) bring the
+    # count to 230,784 + 8 * 361,201 * 10 + 384 = 29,127,248
     tables = deep_tab1(qwen_cfg, fleet, 600)
     monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES", 29_000_000)
     tracemalloc.start()
     try:
-        with pytest.raises(LimitError, match="need 29,126,864 bytes"):
+        with pytest.raises(LimitError, match="need 29,127,248 bytes"):
             compute_table(tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -91,12 +92,14 @@ def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
 
 def fill_bytes(num_devices, num_layers):
     """The tables, comp_or_inf and the fill's scratch: a level's block,
-    |T| * (K - |T|) units of (L+1)**2 doubles, and argmin's copy of its
-    larger half, |T| * ceil((K - |T|) / 2), at the level where the two are
-    largest."""
+    |T| * (K - |T|) units of (L+1)**2 doubles, argmin's copy of its larger
+    half, |T| * ceil((K - |T|) / 2), and its members, complements and rows,
+    2K integers for each of the C(K, |T|) sets T, at the level where the
+    three are largest."""
     K, L = num_devices, num_layers
-    scratch = max(n * (K - n + math.ceil((K - n) / 2)) for n in range(1, K))
-    return table_bytes(K, L) + 8 * (L + 1) ** 2 * (K + scratch)
+    scratch = max(8 * (L + 1) ** 2 * n * (K - n + math.ceil((K - n) / 2))
+                  + 16 * K * math.comb(K, n) for n in range(1, K))
+    return table_bytes(K, L) + 8 * (L + 1) ** 2 * K + scratch
 
 
 @pytest.mark.parametrize("num_devices, every_row_live", [
@@ -124,6 +127,22 @@ def test_fill_peak_matches_the_count(qwen_cfg, fleet, num_devices, every_row_liv
         assert abs(peak - count) <= 0.05 * count
     else:
         assert peak <= count
+
+
+def test_fill_count_is_a_ceiling_on_a_benchmark_fleet(monkeypatch):
+    # fleet 0 at K = 12: the fill's traced peak is at most the count that
+    # check_fill_bytes compares with its limit, so a limit one byte below
+    # the peak refuses the fill
+    tables = ladder_tables(monkeypatch, 0, 12)
+    tracemalloc.start()
+    try:
+        compute_table(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES", peak - 1)
+    with pytest.raises(LimitError):
+        dp_scheduler.check_fill_bytes(12, tables.num_layers)
 
 
 @pytest.mark.parametrize("num_layers, pointer", [(128, np.int8), (129, np.int16)])
@@ -711,9 +730,10 @@ def test_large_solve_bounds_its_own_fill(monkeypatch, fills):
     assert_solve_is_unbounded_plan(monkeypatch, fills, make_tables(layers, devices))
 
 
-def test_fleet_whose_fastest_half_cannot_run_the_model_is_bounded(monkeypatch, fills):
-    # each device holds 11 of the 60 layers: five hold 55 and cannot run the
-    # model, ten can; the fill cuts states once a complete plan is written
+def test_memory_limited_fleet_cuts_states_and_keeps_the_unbounded_plan(monkeypatch, fills):
+    # ten devices, each with memory for 11 of the 60 layers, so a plan needs
+    # six of them; the fill cuts states once a complete plan is written and
+    # returns the plan of the fill that cuts none
     workload, activation, params = 4e11, 2e7, 5e8
     devices = [make_device(k, peak=1e13 * (1 + k / 10), memory=params * 11 + activation)
                for k in range(10)]

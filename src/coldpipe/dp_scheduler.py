@@ -172,8 +172,7 @@ def table_bytes(num_devices: int, num_layers: int) -> int:
 
 
 def squeeze(mask, device):
-    """Table row of the states (mask, j, device): mask with bit device
-    removed."""
+    """Table row of the states (mask, j, device): mask without bit device."""
     low = (1 << device) - 1
     return (mask & low) | ((mask >> 1) & ~low)
 
@@ -205,12 +204,12 @@ def check_fill_bytes(num_devices: int, num_layers: int) -> None:
     layers."""
     K, L = num_devices, num_layers
     size = (L + 1) ** 2
-    # the scratch: a level's block and argmin's copy of the larger half of
-    # it (blocks are split over d), and its members, complements and rows,
-    # 2K integers per set T, at the level where they are largest; a half's
-    # gathers are freed before its copy is made, and are no larger
-    scratch = max(8 * size * n * (K - n + (K - n + 1) // 2) + 16 * K * comb(K, n)
-                  for n in range(K))
+    # the scratch at the level n where it is largest: a block, argmin's copy
+    # of its larger half (blocks are split over d; a half's gathers, freed
+    # before the copy, are no larger) and 2K + n integers per set T while the
+    # level's rows are summed; then a ufunc's buffer for a broadcast operand
+    scratch = max(8 * size * n * (K - n + (K - n + 1) // 2) + 8 * (2 * K + n) * comb(K, n)
+                  for n in range(K)) + 8 * np.getbufsize()
     need = table_bytes(K, L) + 8 * K * size + scratch  # comp_or_inf
     if need > MAX_TABLE_BYTES:
         raise LimitError(
@@ -223,9 +222,8 @@ def compute_table(tables: CostTables) -> DpTable:
     raises LimitError, before any allocation, when the tables and the
     fill's scratch pass MAX_TABLE_BYTES.
 
-    LB(d, j), over every device other than d, is one (K, L+1) array built
-    once, before the tables; the module docstring defines it.  The
-    incumbent is the least value at j = L of level 0.  In each block, a
+    LB(d, j) is one (K, L+1) array, which the module docstring defines.
+    The incumbent is the least value at j = L of level 0.  In each block, a
     state whose value plus LB(d, j) passes incumbent * (1 + PRUNE_SLACK)
     stays +inf, and then the incumbent drops to the block's least value at
     j = L.  Then a state (T, j, d) stays +inf when some x in T has
@@ -264,10 +262,12 @@ def compute_table(tables: CostTables) -> DpTable:
         nonlocal bound
         m = K - n
         members = np.fromiter(chain.from_iterable(combinations(range(K), n)), int).reshape(-1, n)
-        row_of = sum(drop[p] for p in members.T)  # squeeze(T, d) at (T, d); members is (T, p)
+        row_of = drop[members[:, 0]]  # squeeze(T, d) at (T, d), summed in place; members is (T, p)
+        for p in members.T[1:]:
+            row_of += drop[p]
         # reversed: the lesser of two n-sets has their least differing element, its complement not
-        others = np.fromiter(chain.from_iterable(combinations(range(K), m)),
-                             int).reshape(-1, m)[::-1]  # (T, d)
+        others = np.fromiter(chain.from_iterable(combinations(range(K), m)), int,
+                             count=m * comb(K, m)).reshape(-1, m)[::-1]  # (T, d)
         # a block holds at most n rows i per split below L and ends j after them
         cand_buf = np.empty(m * n * L * L)
         best_buf = np.empty(m * L, dtype=np.intp)

@@ -55,9 +55,9 @@ def test_table_bytes_estimate():
     assert table_bytes(19, 60) == 3_038_248_960
     assert table_bytes(19, 40) == 2_042_101_760
     # past it, the tables and the fill's scratch are refused
-    for num_devices, num_layers, need in ((20, 60, "6,460,496,080"),
-                                          (20, 40, "4,360,569,680"),
-                                          (25, 10, "48,217,720,520")):
+    for num_devices, num_layers, need in ((20, 60, "6,475,342,096"),
+                                          (20, 40, "4,375,415,696"),
+                                          (25, 10, "48,758,611,448")):
         tables = make_tables([(1e12, 1e6, 5e8)] * num_layers,
                              [make_device(i) for i in range(num_devices)])
         with pytest.raises(LimitError,
@@ -76,13 +76,14 @@ def deep_tab1(model, fleet, num_layers, t=2048):
 def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
     # the DP tables are 230,784 bytes; comp_or_inf (4 units of 601**2
     # doubles), the fill's block and argmin's half copy (4 + 2 units at
-    # |T| = 2) and that level's index arrays (16 * 4 * 6 bytes) bring the
-    # count to 230,784 + 8 * 361,201 * 10 + 384 = 29,127,248
+    # |T| = 2), that level's index arrays (8 * (2 * 4 + 2) * 6 bytes) and a
+    # ufunc's buffer (8 * 8,192 bytes) bring the count to
+    # 230,784 + 8 * 361,201 * 10 + 480 + 65,536 = 29,192,880
     tables = deep_tab1(qwen_cfg, fleet, 600)
     monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES", 29_000_000)
     tracemalloc.start()
     try:
-        with pytest.raises(LimitError, match="need 29,127,248 bytes"):
+        with pytest.raises(LimitError, match="need 29,192,880 bytes"):
             compute_table(tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -93,13 +94,13 @@ def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
 def fill_bytes(num_devices, num_layers):
     """The tables, comp_or_inf and the fill's scratch: a level's block,
     |T| * (K - |T|) units of (L+1)**2 doubles, argmin's copy of its larger
-    half, |T| * ceil((K - |T|) / 2), and its members, complements and rows,
-    2K integers for each of the C(K, |T|) sets T, at the level where the
-    three are largest."""
+    half, |T| * ceil((K - |T|) / 2), and its index arrays, 2K + |T|
+    integers for each of the C(K, |T|) sets T, at the level where the three
+    are largest; and a ufunc's buffer of getbufsize() doubles."""
     K, L = num_devices, num_layers
     scratch = max(8 * (L + 1) ** 2 * n * (K - n + math.ceil((K - n) / 2))
-                  + 16 * K * math.comb(K, n) for n in range(1, K))
-    return table_bytes(K, L) + 8 * (L + 1) ** 2 * K + scratch
+                  + 8 * (2 * K + n) * math.comb(K, n) for n in range(1, K))
+    return table_bytes(K, L) + 8 * (L + 1) ** 2 * K + scratch + 8 * np.getbufsize()
 
 
 @pytest.mark.parametrize("num_devices, every_row_live", [
@@ -129,11 +130,31 @@ def test_fill_peak_matches_the_count(qwen_cfg, fleet, num_devices, every_row_liv
         assert peak <= count
 
 
-def test_fill_count_is_a_ceiling_on_a_benchmark_fleet(monkeypatch):
-    # fleet 0 at K = 12: the fill's traced peak is at most the count that
-    # check_fill_bytes compares with its limit, so a limit one byte below
-    # the peak refuses the fill
-    tables = ladder_tables(monkeypatch, 0, 12)
+def equal_layer_tables(num_devices, num_layers, layers_per_device):
+    """Devices of distinct speeds on num_layers equal layers, each with
+    memory for layers_per_device of them."""
+    workload, activation, params = 4e11, 2e7, 5e8
+    devices = [make_device(k, peak=1e13 * (1 + k / 10),
+                           memory=params * layers_per_device + activation)
+               for k in range(num_devices)]
+    return make_tables([(workload, activation, params)] * num_layers, devices)
+
+
+@pytest.mark.parametrize("build", [
+    # fleet 0 at K = 12 and 60 layers: the tables and blocks are most of it
+    pytest.param(lambda patch: ladder_tables(patch, 0, 12), id="fleet-0-k12"),
+    # 12 devices with memory for one of 6 layers: the fill builds the
+    # |T| = 6 level, the largest, whose index arrays, while its rows are
+    # summed, are most of the scratch
+    pytest.param(lambda patch: equal_layer_tables(12, 6, 1), id="index-arrays-k12"),
+    # 6 devices with memory for all of 40 layers: a ufunc's buffer is a
+    # seventh of the count
+    pytest.param(lambda patch: equal_layer_tables(6, 40, 40), id="ufunc-buffer-k6")])
+def test_fill_count_is_a_ceiling(monkeypatch, build):
+    # the fill's traced peak is at most the count that check_fill_bytes
+    # compares with its limit, so a limit one byte below the peak refuses
+    # the fill
+    tables = build(monkeypatch)
     tracemalloc.start()
     try:
         compute_table(tables)
@@ -142,7 +163,7 @@ def test_fill_count_is_a_ceiling_on_a_benchmark_fleet(monkeypatch):
         tracemalloc.stop()
     monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES", peak - 1)
     with pytest.raises(LimitError):
-        dp_scheduler.check_fill_bytes(12, tables.num_layers)
+        dp_scheduler.check_fill_bytes(tables.num_devices, tables.num_layers)
 
 
 @pytest.mark.parametrize("num_layers, pointer", [(128, np.int8), (129, np.int16)])

@@ -15,17 +15,17 @@ spec.loader.exec_module(plan_digest)
 
 @pytest.fixture
 def digest(monkeypatch, capsys):
-    """main's output lines on 20 suite instances, tab1 and fleets 0-1 at
-    K = 3 and 4, with sys.path and the loaded fleet module undone
+    """main's output lines on 20 suite instances, tab1 and fleet 0 at each
+    size of the ladder, with sys.path and the loaded fleet module undone
     afterwards."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setitem(sys.modules, "fleet", None)
     monkeypatch.setattr(plan_digest, "SUITE_SEEDS", (0,))
     monkeypatch.setattr(plan_digest, "SUITE_COUNT", 20)
-    monkeypatch.setattr(plan_digest, "FLEETS", range(2))
+    monkeypatch.setattr(plan_digest, "FLEETS", range(1))
 
     def run(*args):
-        assert plan_digest.main(["--ladder", "3", "4", *args]) == 0
+        assert plan_digest.main(list(args)) == 0
         return capsys.readouterr().out.splitlines()
     return run
 
@@ -33,7 +33,7 @@ def digest(monkeypatch, capsys):
 def test_one_digest_per_group_that_one_ulp_changes(monkeypatch, digest):
     lines = digest()
     assert [line.split()[:2] for line in lines] == [
-        ["suite", "20"], ["tab1", "6"], ["ladder", "4"]]
+        ["suite", "20"], ["tab1", "6"], ["ladder", "3"]]
     assert digest() == lines
     solve = dp_scheduler.solve
 

@@ -11,10 +11,8 @@ for s = 0, 1, 2; `tab1`, each token length of `configs/tab1.yaml`; and
 `ladder`, `benchmark/fleet.py`'s fleets 0-7 at each size of its `LADDER`.
 Each solve hashes as one line: the makespan in float hex and the plan, or
 `infeasible`.  `--root DIR` solves with DIR's `src/coldpipe`, config and
-fleet generator, so one copy of this script checks two checkouts.
-`--ladder K...` replaces the sizes for this process only; the generator
-draws as many devices as the largest size, and the first ones stay the
-same.  Nothing under `benchmark/` is written.
+fleet generator, so one copy of this script checks two checkouts.  Nothing
+under `benchmark/` is written.
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout to solve with (default: this one)")
-    parser.add_argument("--ladder", type=int, nargs="+", metavar="K",
-                        help="fleet sizes (default: benchmark/fleet.py's LADDER)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
@@ -47,8 +43,6 @@ def main(argv: list[str] | None = None) -> int:
     fleet = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = fleet  # where dataclasses looks a module up
     spec.loader.exec_module(fleet)
-    if args.ladder:
-        fleet.LADDER = tuple(args.ladder)
 
     def line(scenario, t: int) -> str:
         try:

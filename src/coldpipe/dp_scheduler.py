@@ -172,7 +172,8 @@ def table_bytes(num_devices: int, num_layers: int) -> int:
 
 
 def squeeze(mask, device):
-    """Table row of the states (mask, j, device): mask without bit device."""
+    """Table row of the states (mask, j, device): mask with bit device
+    removed."""
     low = (1 << device) - 1
     return (mask & low) | ((mask >> 1) & ~low)
 
@@ -222,8 +223,9 @@ def compute_table(tables: CostTables) -> DpTable:
     raises LimitError, before any allocation, when the tables and the
     fill's scratch pass MAX_TABLE_BYTES.
 
-    LB(d, j) is one (K, L+1) array, which the module docstring defines.
-    The incumbent is the least value at j = L of level 0.  In each block, a
+    LB(d, j), over every device other than d, is one (K, L+1) array built
+    once, before the tables; the module docstring defines it.  The
+    incumbent is the least value at j = L of level 0.  In each block, a
     state whose value plus LB(d, j) passes incumbent * (1 + PRUNE_SLACK)
     stays +inf, and then the incumbent drops to the block's least value at
     j = L.  Then a state (T, j, d) stays +inf when some x in T has

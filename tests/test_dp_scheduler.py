@@ -147,8 +147,8 @@ def equal_layer_tables(num_devices, num_layers, layers_per_device):
     # |T| = 6 level, the largest, whose index arrays, while its rows are
     # summed, are most of the scratch
     pytest.param(lambda patch: equal_layer_tables(12, 6, 1), id="index-arrays-k12"),
-    # 6 devices with memory for all of 40 layers: a ufunc's buffer is a
-    # seventh of the count
+    # 6 devices with memory for all of 40 layers: a ufunc's buffer is 15%
+    # of the count
     pytest.param(lambda patch: equal_layer_tables(6, 40, 40), id="ufunc-buffer-k6")])
 def test_fill_count_is_a_ceiling(monkeypatch, build):
     # the fill's traced peak is at most the count that check_fill_bytes

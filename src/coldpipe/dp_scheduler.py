@@ -10,9 +10,10 @@ vectorized step.  T's block reads only states of the level before,
 (T - {p}, i, p), and writes only its own states (T, j, d).
 
 The fill reads only live input.  A block scores only its rows (split i,
-predecessor p) whose state (T - {p}, i, p) is finite, in (i, p) order, and
-only the ends j past the first such split.  A T with no finite predecessor
-is skipped, and the fill stops at the first level with none live.
+predecessor p) whose state (T - {p}, i, p) is live, finite and not carrying
+a value for dominance (below), in (i, p) order, and only the ends j past
+the first such split.  A T with no live predecessor is skipped, and the
+fill stops at the first level with none live.
 
 The fill is its own branch and bound (Land & Doig 1960).  Its incumbent
 starts at +inf, and after level 0 and after each block is written it drops
@@ -32,15 +33,26 @@ each value it takes is a feasible plan's makespan, so it is never below
 the optimum.
 
 A state is also cut by dominance (Ibaraki 1977; Morin & Marsten 1976): a
-block's state (T, j, d) stays +inf when some x in T has V(T - {x}, j, d)
-<= V(T, j, d).  The subset states are one level down and already final.  The
-completions of (T, j, d) use only devices outside T | {d}, so they also
-complete (T - {x}, j, d).  The timeline's `max(load, upstream) + comm +
-comp` does not decrease in the upstream finish, and float `max` and `+`
-are monotone under rounding, so each completion through T - {x} ends no
-later.  Every stored finite value is a real prefix's finish, even where
-earlier cuts raised it, so a cut only drops a state for a real plan with
-one device fewer that is no worse.
+block's state (T, j, d) stays +inf when some smaller subset S of T, whose
+block was written, has V(S, j, d) <= V(T, j, d).  The subset states are at
+lower levels and already final.  The completions of (T, j, d) use only
+devices outside T | {d}, so they also complete (S, j, d).  The timeline's
+`max(load, upstream) + comm + comp` does not decrease in the upstream
+finish, and float `max` and `+` are monotone under rounding, so each
+completion through S ends no later.  Every stored finite value is a real
+prefix's finish, even where earlier cuts raised it, so a cut only drops a
+state for a real plan with fewer devices that is no worse.
+
+The subsets' least value needs no table of its own: a cut state is +inf in
+the returned table, so while the fill runs its cell is free to carry it.  A
+written block's state (T, j, d) that is cut or unreached holds, negated,
+the least |value| of its subset states one device fewer, (T - {x}, j, d),
+each of which holds its own value if live or carries its own subsets'
+least; so the least value over every smaller subset reached through
+written blocks is one gather away.  A skipped T carries nothing.  A
+predecessor is live where it is finite and its sign bit is clear: a zero
+carried is -0.0.  Before the fill returns, every cell whose sign bit is
+set goes back to +inf.
 
 Neither cut touches the plan that the fill without them picks.  By
 induction along its chain from the one-stage state, each state of the
@@ -49,7 +61,7 @@ keeps its value, and the cuts only raised other candidates of its column.
 Then its value plus LB is at most the picked plan's makespan, the optimum,
 which is at most the incumbent, and PRUNE_SLACK absorbs the rounding of
 the bound's sums, so the bound does not cut it.  Nor does dominance: a plan
-with one device fewer would end no later, yet `best_final_state` and
+with fewer devices would end no later, yet `best_final_state` and
 `tie_key` put fewer devices first at an equal makespan.  Off the chain, a
 finite value is the first minimum over the stored predecessors, which may
 exceed the fill without cuts.  This rests on the tie order; a change to
@@ -184,7 +196,9 @@ class DpTable:
     array is (2**(K-1), L+1, K), state (T, j, d) at [squeeze(T, d), j, d];
     the pointers are defined where `values` is finite.  A finite value is
     the first minimum over the stored predecessors; on the picked plan's
-    chain it is the uncut fill's value."""
+    chain it is the uncut fill's value.  No value has its sign bit set: the
+    subsets' least value that a cut or unreached state carries during the
+    fill is +inf again here."""
 
     values: np.ndarray       # float64 completion time; +inf if unreachable or cut
     split: np.ndarray        # pointer_dtype: final-segment boundary i (0 = one stage)
@@ -207,10 +221,17 @@ def check_fill_bytes(num_devices: int, num_layers: int) -> None:
     size = (L + 1) ** 2
     # the scratch at the level n where it is largest: a block, argmin's copy
     # of its larger half (blocks are split over d; a half's gathers, freed
-    # before the copy, are no larger) and 2K + n integers per set T while the
-    # level's rows are summed; then a ufunc's buffer for a broadcast operand
-    scratch = max(8 * size * n * (K - n + (K - n + 1) // 2) + 8 * (2 * K + n) * comb(K, n)
-                  for n in range(K)) + 8 * np.getbufsize()
+    # before the copy, are no larger); a block's vectors, 4 + (K - n) words
+    # per row (i, p) (prev, si, pp, up, comm) and 4 + n per end (d, j)
+    # (best_buf, vals, dominance's full-width gather, the least value it
+    # takes and its mask); and 2K + n integers per set T while the level's
+    # rows are summed.  Then a ufunc's buffer for a broadcast operand, within
+    # which the restore's slab mask falls once the fill's scratch is gone,
+    # and LB with the fill's j index, K + 1 words per layer
+    scratch = max(8 * size * n * (K - n + (K - n + 1) // 2)
+                  + 8 * (L + 1) * (n * (4 + K - n) + (K - n) * (4 + n))
+                  + 8 * (2 * K + n) * comb(K, n)
+                  for n in range(K)) + 8 * np.getbufsize() + 8 * (K + 1) * (L + 1)
     need = table_bytes(K, L) + 8 * K * size + scratch  # comp_or_inf
     if need > MAX_TABLE_BYTES:
         raise LimitError(
@@ -228,12 +249,17 @@ def compute_table(tables: CostTables) -> DpTable:
     incumbent is the least value at j = L of level 0.  In each block, a
     state whose value plus LB(d, j) passes incumbent * (1 + PRUNE_SLACK)
     stays +inf, and then the incumbent drops to the block's least value at
-    j = L.  Then a state (T, j, d) stays +inf when some x in T has
-    V(T - {x}, j, d) <= V(T, j, d): dominance, which the module docstring
-    shows never cuts the picked plan.  A block scores only its rows (i, p)
-    with a finite predecessor, in (i, p) order, and ends j past the first
-    of them; every finite candidate is among them, so every first minimum
-    is the uncompacted one."""
+    j = L.  Then a state (T, j, d) stays +inf when a smaller subset S of T
+    has V(S, j, d) <= V(T, j, d): dominance, which the module docstring
+    shows never cuts the picked plan.  It is one gather of the subset states
+    one device fewer, every column j, whose |values| hold the least over
+    the smaller written subsets; the block's cut and unreached states carry
+    their least, negated, and the fill ends by setting every cell whose sign
+    bit is set back to +inf, one slab of getbufsize() cells at a time, so no
+    mask the size of the table is built.  A block scores only its rows
+    (i, p) with a live predecessor, in (i, p) order, and ends j past the
+    first of them; every finite candidate is among them, so every first
+    minimum is the uncompacted one."""
     L, K = tables.num_layers, tables.num_devices
     check_fill_bytes(K, L)
     # LB(d, j), built before the tables so that its temporaries never add to
@@ -280,7 +306,8 @@ def compute_table(tables: CostTables) -> DpTable:
         live = False
         for preds, nexts, rows in zip(members, others, row_of):
             prev = values[rows[preds], :L, preds].T  # (i, p)
-            si, pp = np.nonzero(prev < np.inf)  # the live rows, in (i, p) order
+            # the live rows, in (i, p) order; a cut or unreached state carries a sign
+            si, pp = np.nonzero((prev < np.inf) & ~np.signbit(prev))
             if not si.size:
                 continue
             live, a = True, int(si[0])  # ends j from a + 1
@@ -298,11 +325,17 @@ def compute_table(tables: CostTables) -> DpTable:
             vals = cand[each_d, best, each_j[:wj]]
             vals[vals + lb[nexts, a + 1:] > bound * (1 + PRUNE_SLACK)] = np.inf
             bound = min(bound, vals[:, -1].min())
-            # dominance: a subset state one device fewer, no later
+            # dominance: the least value over the smaller written subsets,
+            # which the subset states one device fewer hold or carry, is no later
             out = rows[nexts]
-            fewer = values[out - drop[preds[:, None], nexts], a + 1:, nexts]
-            vals[fewer.min(axis=0) <= vals] = np.inf
-            values[out, a + 1:, nexts] = vals
+            fewer = values[out - drop[preds[:, None], nexts], :, nexts]
+            least = np.abs(fewer, out=fewer).min(axis=0)  # (d, j)
+            kept = vals < least[:, a + 1:]
+            # a cut or unreached state carries that least value, negated
+            np.negative(least, out=least)
+            np.copyto(least[:, a + 1:], vals, where=kept)
+            values[out, :, nexts] = least
+            del fewer, least, kept, vals  # not alive at the next block's gathers
             split[out, a + 1:, nexts] = si[best]
             prev_device[out, a + 1:, nexts] = preds[pp[best]]
         return live
@@ -310,6 +343,12 @@ def compute_table(tables: CostTables) -> DpTable:
     for n in range(1, K):
         if not fill(n):
             break
+    # what the cut and unreached states carried goes back to +inf, a slab of
+    # a ufunc buffer's length at a time; the sign bit catches -0.0 too
+    flat, step = values.reshape(-1), np.getbufsize()
+    for start in range(0, flat.size, step):
+        slab = flat[start:start + step]
+        slab[np.signbit(slab)] = np.inf
 
     return DpTable(values=values, split=split, prev_device=prev_device,
                    num_layers=L, num_devices=K)

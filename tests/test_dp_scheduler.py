@@ -55,9 +55,9 @@ def test_table_bytes_estimate():
     assert table_bytes(19, 60) == 3_038_248_960
     assert table_bytes(19, 40) == 2_042_101_760
     # past it, the tables and the fill's scratch are refused
-    for num_devices, num_layers, need in ((20, 60, "6,475,342,096"),
-                                          (20, 40, "4,375,415,696"),
-                                          (25, 10, "48,758,611,448")):
+    for num_devices, num_layers, need in ((20, 60, "6,475,488,984"),
+                                          (20, 40, "4,375,514,424"),
+                                          (25, 10, "48,758,649,992")):
         tables = make_tables([(1e12, 1e6, 5e8)] * num_layers,
                              [make_device(i) for i in range(num_devices)])
         with pytest.raises(LimitError,
@@ -76,14 +76,16 @@ def deep_tab1(model, fleet, num_layers, t=2048):
 def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
     # the DP tables are 230,784 bytes; comp_or_inf (4 units of 601**2
     # doubles), the fill's block and argmin's half copy (4 + 2 units at
-    # |T| = 2), that level's index arrays (8 * (2 * 4 + 2) * 6 bytes) and a
-    # ufunc's buffer (8 * 8,192 bytes) bring the count to
-    # 230,784 + 8 * 361,201 * 10 + 480 + 65,536 = 29,192,880
+    # |T| = 2), that level's block vectors (24 units of 601 doubles: 2 * (4 +
+    # 2) for its rows, 2 * (4 + 2) for its ends), its index arrays (8 * (2 *
+    # 4 + 2) * 6 bytes), a ufunc's buffer (8 * 8,192 bytes) and LB with the
+    # j index (5 units of 601 doubles) bring the count to
+    # 230,784 + 8 * 361,201 * 10 + 8 * 601 * 29 + 480 + 65,536 = 29,332,312
     tables = deep_tab1(qwen_cfg, fleet, 600)
     monkeypatch.setattr(dp_scheduler, "MAX_TABLE_BYTES", 29_000_000)
     tracemalloc.start()
     try:
-        with pytest.raises(LimitError, match="need 29,192,880 bytes"):
+        with pytest.raises(LimitError, match="need 29,332,312 bytes"):
             compute_table(tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -94,13 +96,17 @@ def test_fill_counts_its_scratch(monkeypatch, qwen_cfg, fleet):
 def fill_bytes(num_devices, num_layers):
     """The tables, comp_or_inf and the fill's scratch: a level's block,
     |T| * (K - |T|) units of (L+1)**2 doubles, argmin's copy of its larger
-    half, |T| * ceil((K - |T|) / 2), and its index arrays, 2K + |T|
-    integers for each of the C(K, |T|) sets T, at the level where the three
-    are largest; and a ufunc's buffer of getbufsize() doubles."""
+    half, |T| * ceil((K - |T|) / 2), a block's vectors, 4 + K - |T| units
+    of L+1 doubles per predecessor and 4 + |T| per next device, and its
+    index arrays, 2K + |T| integers for each of the C(K, |T|) sets T, at
+    the level where these are largest; a ufunc's buffer of getbufsize()
+    doubles; and LB with the j index, K + 1 units of L+1 doubles."""
     K, L = num_devices, num_layers
     scratch = max(8 * (L + 1) ** 2 * n * (K - n + math.ceil((K - n) / 2))
+                  + 8 * (L + 1) * (n * (4 + K - n) + (K - n) * (4 + n))
                   + 8 * (2 * K + n) * math.comb(K, n) for n in range(1, K))
-    return table_bytes(K, L) + 8 * (L + 1) ** 2 * K + scratch + 8 * np.getbufsize()
+    return (table_bytes(K, L) + 8 * (L + 1) ** 2 * K + scratch + 8 * np.getbufsize()
+            + 8 * (K + 1) * (L + 1))
 
 
 @pytest.mark.parametrize("num_devices, every_row_live", [
@@ -149,7 +155,10 @@ def equal_layer_tables(num_devices, num_layers, layers_per_device):
     pytest.param(lambda patch: equal_layer_tables(12, 6, 1), id="index-arrays-k12"),
     # 6 devices with memory for all of 40 layers: a ufunc's buffer is 15%
     # of the count
-    pytest.param(lambda patch: equal_layer_tables(6, 40, 40), id="ufunc-buffer-k6")])
+    pytest.param(lambda patch: equal_layer_tables(6, 40, 40), id="ufunc-buffer-k6"),
+    # 2 devices with memory for all of 100 layers: every row is live, and the
+    # block's vectors and LB pass the slack of the block's (L+1)**2 units
+    pytest.param(lambda patch: equal_layer_tables(2, 100, 100), id="every-row-live-k2")])
 def test_fill_count_is_a_ceiling(monkeypatch, build):
     # the fill's traced peak is at most the count that check_fill_bytes
     # compares with its limit, so a limit one byte below the peak refuses
@@ -601,10 +610,13 @@ def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
     of level 0 and of each block before T's, sets T in combinations order.
     A finite state's value plus LB(d, j) is within incumbent * (1 +
     slack); a +inf state has no finite candidate, or its first minimum plus
-    LB passes that limit (cut by the bound), or some subset state is no
-    later than its first minimum (cut by dominance).  Returns the count of
-    states each cut took."""
+    LB passes that limit (cut by the bound), or the state (S, j, d) of some
+    proper subset S of T is no later than its first minimum (cut by
+    dominance).  No cell has its sign bit set.  Returns the count of states
+    each cut took, dominance split into the cuts that a subset one device
+    fewer explains and those that only a smaller subset does."""
     K, L = tables.num_devices, tables.num_layers
+    assert not np.signbit(table.values).any()
     finals = table.values[:, L, :]
     incumbent, best = {0: math.inf}, finals[0].min()
     for n in range(1, K):
@@ -614,7 +626,7 @@ def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
             best = min(best, *(finals[squeeze(t_mask, d), d]
                                for d in range(K) if not (t_mask >> d) & 1))
     comp_or_inf = np.where(tables.fits, tables.comp_s, np.inf)
-    cuts = {"bound": 0, "dominance": 0}
+    cuts = {"bound": 0, "dominance": 0, "transitive": 0}
     for d in range(K):
         others = [p for p in range(K) if p != d]
         lb = lower_bound(tables, d)
@@ -639,6 +651,10 @@ def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
                                  for p in members], axis=1)  # (i, p)
                 fewer = np.min([table.values[squeeze(t_mask ^ (1 << x), d), :, d]
                                 for x in members], axis=0)  # the earliest subset state
+                smaller = np.min([table.values[squeeze(sum(1 << x for x in subset), d), :, d]
+                                  for size in range(n - 1)
+                                  for subset in combinations(members, size)],
+                                 axis=0, initial=math.inf)  # the earliest two or more fewer
                 cand = np.maximum(tables.load_s[d][:, None, :], prev[:, :, None])
                 cand += tables.comm_s[preds, d].T[:, :, None]
                 cand += comp_or_inf[d][:, None, :]
@@ -653,25 +669,34 @@ def check_table_contract(tables, table, slack=dp_scheduler.PRUNE_SLACK):
                 first = flat.min(axis=0)
                 bound = np.isfinite(first) & (first + lb > limit)
                 dominated = np.isfinite(first) & ~bound & (fewer <= first)
-                assert (np.isinf(first) | bound | dominated)[~finite].all()
+                transitive = np.isfinite(first) & ~bound & ~dominated & (smaller <= first)
+                assert (np.isinf(first) | bound | dominated | transitive)[~finite].all()
                 cuts["bound"] += int(bound[~finite].sum())
                 cuts["dominance"] += int(dominated[~finite].sum())
+                cuts["transitive"] += int(transitive[~finite].sum())
     return cuts
 
 
 def test_every_state_keeps_the_table_contract(monkeypatch):
     # unbounded, a state is +inf only when it has no finite candidate or a
-    # subset state one device fewer is no later; dominance cuts states
+    # smaller subset's state is no later; dominance cuts states, and some of
+    # them only a subset two or more devices smaller explains.  A first
+    # layer that costs nothing makes one-stage states of 0.0, so the states
+    # they dominate carry -0.0 while the fill runs
     layers, devices = _metamorphic_fleet(0, 6)
-    cases = [make_tables(layers, devices), integer_tie_tables()]
+    free_first = make_tables([(0.0, 0.0, 0.0)] + [(1e12, 1e6, 5e8)] * 3,
+                             [make_device(k) for k in range(3)])
+    cases = [make_tables(layers, devices), integer_tie_tables(), free_first]
     cases += [suite_tables(instance) for instance in random_instance_suite(40, seed=11)]
-    dominated = 0
+    dominated = transitive = 0
     for tables in cases:
         cuts = check_table_contract(tables, unbounded_table(monkeypatch, tables),
                                     slack=math.inf)
         assert cuts["bound"] == 0
         dominated += bool(cuts["dominance"])
+        transitive += cuts["transitive"]
     assert dominated > 1
+    assert transitive > 0
 
 
 def test_bounded_fill_prunes_only_over_the_bound(monkeypatch):

@@ -7,7 +7,8 @@ Subcommands:
   verify       solver-vs-oracle check on randomized small instances
   dump-config  write a normalized copy of a config file
 
-Exit codes: 0 ok; 1 usage, an unwritable --out or a LimitError; 2 ConfigError;
+Exit codes: 0 ok; 1 usage, an unwritable --out or a LimitError (the size
+limits that `errors.LimitError` lists); 2 ConfigError;
 3 InfeasibleError; 4 verification failure; 141 stdout closed early.  `main`
 sets every one of them except verify's 4, which `cmd_verify` returns.  Any
 other exception is a fault of the tool and leaves main with its traceback.

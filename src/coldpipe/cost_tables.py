@@ -56,14 +56,10 @@ class CostTables:
         return int(self.fits[d].sum(axis=1).max())
 
 
-def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
-          t: int) -> CostTables:
-    """Evaluate per-device rates at token length t and precompute all
-    segment tables."""
-    num_layers = len(profiles)
-    num_devices = len(devices)
-    if num_layers < 1 or num_devices < 1:
-        raise ValueError("need at least one layer profile and one device")
+def check_bytes(num_devices: int, num_layers: int) -> None:
+    """Raise LimitError when `build` would allocate more than MAX_TABLE_BYTES
+    for this many devices and layers; it needs no profiles, so callers can
+    run it before they make them."""
     # all that build allocates: the arrays CostTables holds, fits one byte a
     # cell, and the two (L+1, L+1) segment sums
     cells = (num_layers + 1) ** 2
@@ -73,6 +69,17 @@ def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
         raise LimitError(
             f"{num_devices} devices and {num_layers} layers need {need:,} bytes of "
             f"cost tables, over the limit of {MAX_TABLE_BYTES:,} bytes")
+
+
+def build(profiles: list[LayerProfile], devices: list[DeviceProfile],
+          t: int) -> CostTables:
+    """Evaluate per-device rates at token length t and precompute all
+    segment tables."""
+    num_layers = len(profiles)
+    num_devices = len(devices)
+    if num_layers < 1 or num_devices < 1:
+        raise ValueError("need at least one layer profile and one device")
+    check_bytes(num_devices, num_layers)
 
     # prefix_*[l] sums layers 1..l; seg_*[i, j] sums layers i+1..j if i < j
     prefix_param = np.cumsum([0.0] + [p.param_bytes for p in profiles])

@@ -12,8 +12,9 @@ vectorized step.  T's block reads only states of the level before,
 The fill reads only live input.  A block scores only its rows (split i,
 predecessor p) whose state (T - {p}, i, p) is live, finite and not carrying
 a value for dominance (below), in (i, p) order, and only the ends j past
-the first such split.  A T with no live predecessor is skipped, and the
-fill stops at the first level with none live.
+the first such split.  A row left out scores only +inf, so every first
+minimum is the one over all rows.  A T with no live predecessor is skipped,
+and the fill stops at the first level with none live.
 
 The fill is its own branch and bound (Land & Doig 1960).  Its incumbent
 starts at +inf, and after level 0 and after each block is written it drops
@@ -67,14 +68,8 @@ finite value is the first minimum over the stored predecessors, which may
 exceed the fill without cuts.  This rests on the tie order; a change to
 `tie_key` must revisit the rule.
 
-Since d is never in T, a state is stored at row `squeeze(T, d)`, T with bit
-d removed, of tables shaped (2**(K-1), L+1, K): every cell is a state.
-squeeze(T, d) keeps T's bits below d and moves those above d down one, so
-it is the sum over x in T of drop[x, d], 2**(x - (x > d)) but 0 at x = d,
-and (T - {x}, j, d) sits drop[x, d] rows below (T, j, d).  The
-back-pointers take the narrowest signed integer type that holds both the
-largest split, L-1, and the largest device index, K-1 (`pointer_dtype`).
-They are defined where `values` is finite; split 0 marks a one-stage state.
+Since d is never in T, the state (T, j, d) is stored at row squeeze(T, d)
+of `DpTable`'s arrays, so every cell is a state.
 
 Ties break by one key, `timeline.tie_key`, which the brute-force oracle
 uses too: (makespan, stage count, device mask, then (device, finish time,
@@ -185,7 +180,10 @@ def table_bytes(num_devices: int, num_layers: int) -> int:
 
 def squeeze(mask, device):
     """Table row of the states (mask, j, device): mask with bit device
-    removed."""
+    removed and the bits above it moved down one.  So for a mask without
+    device, the row is the sum over x in mask of 2**(x - (x > device)),
+    compute_table's drop[x, device], and the states (mask - {x}, j, device)
+    sit that many rows lower."""
     low = (1 << device) - 1
     return (mask & low) | ((mask >> 1) & ~low)
 
@@ -194,11 +192,7 @@ def squeeze(mask, device):
 class DpTable:
     """Solved state table plus back-pointers for plan reconstruction.  Each
     array is (2**(K-1), L+1, K), state (T, j, d) at [squeeze(T, d), j, d];
-    the pointers are defined where `values` is finite.  A finite value is
-    the first minimum over the stored predecessors; on the picked plan's
-    chain it is the uncut fill's value.  No value has its sign bit set: the
-    subsets' least value that a cut or unreached state carries during the
-    fill is +inf again here."""
+    the pointers are defined where `values` is finite."""
 
     values: np.ndarray       # float64 completion time; +inf if unreachable or cut
     split: np.ndarray        # pointer_dtype: final-segment boundary i (0 = one stage)
@@ -215,8 +209,7 @@ class SolveResult:
 
 def check_fill_bytes(num_devices: int, num_layers: int) -> None:
     """Raise LimitError when the tables, comp_or_inf and the fill's scratch
-    pass MAX_TABLE_BYTES.  The limit admits K <= 19 devices at 40 or 60
-    layers."""
+    pass MAX_TABLE_BYTES."""
     K, L = num_devices, num_layers
     size = (L + 1) ** 2
     # the scratch at the level n where it is largest: a block, argmin's copy
@@ -240,26 +233,9 @@ def check_fill_bytes(num_devices: int, num_layers: int) -> None:
 
 
 def compute_table(tables: CostTables) -> DpTable:
-    """Fill the (T, j, d) table bottom-up, one popcount of T at a time;
-    raises LimitError, before any allocation, when the tables and the
-    fill's scratch pass MAX_TABLE_BYTES.
-
-    LB(d, j), over every device other than d, is one (K, L+1) array built
-    once, before the tables; the module docstring defines it.  The
-    incumbent is the least value at j = L of level 0.  In each block, a
-    state whose value plus LB(d, j) passes incumbent * (1 + PRUNE_SLACK)
-    stays +inf, and then the incumbent drops to the block's least value at
-    j = L.  Then a state (T, j, d) stays +inf when a smaller subset S of T
-    has V(S, j, d) <= V(T, j, d): dominance, which the module docstring
-    shows never cuts the picked plan.  It is one gather of the subset states
-    one device fewer, every column j, whose |values| hold the least over
-    the smaller written subsets; the block's cut and unreached states carry
-    their least, negated, and the fill ends by setting every cell whose sign
-    bit is set back to +inf, one slab of getbufsize() cells at a time, so no
-    mask the size of the table is built.  A block scores only its rows
-    (i, p) with a live predecessor, in (i, p) order, and ends j past the
-    first of them; every finite candidate is among them, so every first
-    minimum is the uncompacted one."""
+    """The filled (T, j, d) table, as the module docstring describes it.
+    Raises LimitError, before any allocation, when `check_fill_bytes`
+    refuses the fleet and layer counts."""
     L, K = tables.num_layers, tables.num_devices
     check_fill_bytes(K, L)
     # LB(d, j), built before the tables so that its temporaries never add to

@@ -1,5 +1,5 @@
-"""Exception types shared across the package.  `cli.main` exits 1 on
-LimitError, 2 on ConfigError and 3 on InfeasibleError; others propagate."""
+"""Exception types shared across the package; `cli` gives each its exit
+code."""
 
 
 class ColdpipeError(Exception):
@@ -12,7 +12,11 @@ class ConfigError(ColdpipeError):
 
 
 class LimitError(ColdpipeError, ValueError):
-    """Past a size limit: DP table bytes, brute force, float64 exactness."""
+    """Past a size limit.  Every limit raises it before the work it guards:
+    cost-table bytes (`cost_tables.check_bytes`), DP table and fill scratch
+    bytes (`dp_scheduler.check_fill_bytes`), the brute-force oracle's
+    candidate count (`baselines.MAX_ORACLE_PLANS`) and a token count whose
+    per-layer sizes pass float64 exactness (`model_profile.layer_sizes`)."""
 
 
 class PlanError(ColdpipeError):

@@ -77,7 +77,9 @@ class ResultRow:
 
 
 def build_tables(scenario: Scenario, t: int) -> cost_tables.CostTables:
-    """Cost tables of the scenario's model and fleet at token length t."""
+    """Cost tables of the scenario's model and fleet at token length t;
+    a LimitError on their bytes comes before any layer profile is made."""
+    cost_tables.check_bytes(len(scenario.devices), scenario.model.num_layers)
     return cost_tables.build(build_profiles(scenario.model, t),
                              list(scenario.devices), t)
 

@@ -262,9 +262,11 @@ def test_missing_subcommand_usage_error(capsys):
 
 
 def test_readme_quick_start_commands_succeed(tmp_path, capsys, monkeypatch):
+    # every coldpipe command in README's sh blocks
     readme = (TAB1_CONFIG.parents[1] / "README.md").read_text()
-    block = re.search(r"## Quick start\n.*?```sh\n(.*?)```", readme, re.S)[1]
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
     commands = [shlex.split(line)[1:]
+                for block in blocks
                 for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("coldpipe ")]
     assert commands
@@ -571,22 +573,26 @@ def test_fleet_over_table_byte_limit_is_one_line_error(tmp_path, capsys):
 @pytest.mark.parametrize("strategy", ["optimal_dp", "even"])
 def test_model_over_cost_table_byte_limit_is_one_line_error(tmp_path, capsys, strategy):
     # 20,000 layers on 4 devices would need about 36.8 GB of cost tables;
-    # the refusal comes from the size estimate, before any table is allocated
-    cfg = tmp_path / "deep.yaml"
-    cfg.write_text(Path(CONFIG).read_text().replace("num_layers: 40", "num_layers: 20000"))
-    tracemalloc.start()
-    try:
-        code, out, err = run(["solve", "--config", str(cfg), "--tokens", "256",
-                              "--strategy", strategy], capsys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: 4 devices and 20000 layers need 36,806,240,252 bytes ")
-    assert err.count("\n") == 1
-    assert "bytes of cost tables, over the limit of 4,294,967,296 bytes" in err
-    assert peak < 50e6
+    # the refusal comes from the size estimate, before any table is allocated.
+    # A trillion layers is refused before the trillion layer profiles are made
+    for num_layers, need in ((20000, "36,806,240,252"),
+                             (10**12, "92,000,000,000,312,000,000,000,252")):
+        cfg = tmp_path / "deep.yaml"
+        cfg.write_text(Path(CONFIG).read_text().replace("num_layers: 40",
+                                                        f"num_layers: {num_layers}"))
+        tracemalloc.start()
+        try:
+            code, out, err = run(["solve", "--config", str(cfg), "--tokens", "256",
+                                  "--strategy", strategy], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: 4 devices and {num_layers} layers need {need} bytes ")
+        assert err.count("\n") == 1
+        assert "bytes of cost tables, over the limit of 4,294,967,296 bytes" in err
+        assert peak < 50e6
 
 
 def test_limit_error_is_a_value_error():

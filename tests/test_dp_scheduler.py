@@ -54,6 +54,16 @@ def test_table_bytes_estimate():
     # the byte limit admits K <= 19 at L=60 and at L=40
     assert table_bytes(19, 60) == 3_038_248_960
     assert table_bytes(19, 40) == 2_042_101_760
+    dp_scheduler.check_fill_bytes(19, 60)
+    dp_scheduler.check_fill_bytes(19, 40)
+    # on 4 devices, the DP admits 7,322 layers and the cost tables 6,830,
+    # counted without allocating anything
+    dp_scheduler.check_fill_bytes(4, 7322)
+    with pytest.raises(LimitError, match="need 4,295,855,680 bytes of DP tables"):
+        dp_scheduler.check_fill_bytes(4, 7323)
+    cost_tables.check_bytes(4, 6830)
+    with pytest.raises(LimitError, match="need 4,295,087,136 bytes of cost tables"):
+        cost_tables.check_bytes(4, 6831)
     # past it, the tables and the fill's scratch are refused
     for num_devices, num_layers, need in ((20, 60, "6,475,488,984"),
                                           (20, 40, "4,375,514,424"),

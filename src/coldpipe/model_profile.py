@@ -116,7 +116,12 @@ def layer_sizes(cfg: ModelConfig, t: int) -> tuple[int, int, int]:
 
 
 def build_profiles(cfg: ModelConfig, t: int) -> list[LayerProfile]:
-    """One LayerProfile per block; uniform because blocks share a config."""
+    """One LayerProfile per block; uniform because blocks share a config.
+
+    Raises LimitError, before the list is made, when the model's cost tables
+    would pass their byte limit even on one device."""
+    from .cost_tables import check_bytes  # here, so importing this module loads no numpy
+    check_bytes(1, cfg.num_layers)
     flops, act_bytes, param_bytes = layer_sizes(cfg, t)
     profile = LayerProfile(
         workload_flops=float(flops),

@@ -357,11 +357,16 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
-def test_cli_start_loads_no_executor():
+@pytest.mark.parametrize("modules, prefix", [
     # concurrent.futures costs milliseconds and memory at every start, and
     # nothing in coldpipe needs it
-    probe = ("import sys, coldpipe.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    ("coldpipe.cli", "concurrent"),
+    # the package root imports nothing, so these modules stand alone
+    ("coldpipe.errors, coldpipe.device_model, coldpipe.model_profile", "numpy"),
+], ids=["cli", "leaf-modules"])
+def test_import_loads_no_unneeded_module(modules, prefix):
+    probe = (f"import sys, {modules}; "
+             f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     done = subprocess.run([sys.executable, "-c", probe], env=src_env(), timeout=60,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"

@@ -1,7 +1,10 @@
+import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
+from coldpipe.errors import LimitError
 from coldpipe.model_profile import (ModelConfig, attn_flops, build_profiles,
                                     activation_bytes, ffn_flops,
                                     layer_param_bytes, layer_sizes,
@@ -95,6 +98,22 @@ def test_build_profiles_uniform(qwen_cfg):
     assert sum(p.param_bytes for p in profiles) == \
         qwen_cfg.num_layers * layer_param_bytes(qwen_cfg)
     assert profiles[0].workload_flops == float(layer_workload(qwen_cfg, 2048))
+
+
+def test_build_profiles_refuses_past_one_devices_cost_tables(qwen_cfg):
+    # one device's cost tables admit 10,233 layers; the refusal of a trillion
+    # comes before the list of profiles is made
+    assert len(build_profiles(dataclasses.replace(qwen_cfg, num_layers=10_233), 256)) == 10_233
+    for num_layers in (10_234, 10**12):
+        cfg = dataclasses.replace(qwen_cfg, num_layers=num_layers)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitError, match=f"1 devices and {num_layers} layers"):
+                build_profiles(cfg, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def test_rejects_zero_tokens(qwen_cfg):

@@ -1,8 +1,10 @@
+import dataclasses
 import importlib.util
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coldpipe import dp_scheduler
@@ -33,7 +35,7 @@ def digest(monkeypatch, capsys):
 def test_one_digest_per_group_that_one_ulp_changes(monkeypatch, digest):
     lines = digest()
     assert [line.split()[:2] for line in lines] == [
-        ["suite", "20"], ["tab1", "6"], ["ladder", "3"]]
+        ["suite", "20"], ["tab1", "6"], ["ladder", "3"], ["fill", "9"]]
     assert digest() == lines
     solve = dp_scheduler.solve
 
@@ -42,7 +44,26 @@ def test_one_digest_per_group_that_one_ulp_changes(monkeypatch, digest):
         return dp_scheduler.SolveResult(math.nextafter(result.makespan_s, math.inf),
                                         result.plan)
     monkeypatch.setattr(dp_scheduler, "solve", later)
-    assert all(a != b for a, b in zip(digest(), lines))
+    changed = digest()
+    assert all(a != b for a, b in zip(changed[:3], lines[:3]))
+    assert changed[3] == lines[3]  # the fills do not go through solve
+
+
+def test_fill_line_reads_pointers_only_where_values_are_finite(tab1_tables):
+    table = dp_scheduler.compute_table(tab1_tables())
+    line = plan_digest.fill_line(table)
+    finite = np.flatnonzero(np.isfinite(table.values))
+    unreached = np.flatnonzero(np.isinf(table.values))
+    for array, at, changes in (("values", finite[-1], True),
+                               ("split", finite[-1], True),
+                               ("prev_device", finite[-1], True),
+                               ("split", unreached[-1], False),
+                               ("prev_device", unreached[-1], False)):
+        edited = getattr(table, array).copy()
+        cell = edited.reshape(-1)
+        cell[at] = np.nextafter(cell[at], np.inf) if array == "values" else cell[at] + 1
+        other = dataclasses.replace(table, **{array: edited})
+        assert (plan_digest.fill_line(other) != line) == changes, (array, at)
 
 
 def test_another_checkout_must_supply_coldpipe(digest, tmp_path):
